@@ -26,10 +26,6 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
         return cls({exponent: coefficient})
 
-    @property
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -61,17 +57,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def scale(self, factor: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * factor for e, c in self._terms})
-
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by A^exponent."""
-        return LaurentPoly({e + exponent: c for e, c in self._terms})
-
-    def substitute_inverse(self) -> "LaurentPoly":
-        """A -> A^-1 (mirror image of the underlying diagram)."""
-        return LaurentPoly({-e: c for e, c in self._terms})
 
     def pow(self, k: int) -> "LaurentPoly":
         if k < 0:

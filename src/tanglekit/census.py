@@ -20,12 +20,13 @@ incompleteness surfaces as unresolved entries, never as false positives.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from .diagram.core import TangleDiagram
 from .diagram.pdcode import emit_pd
 from .diagram.rewrite import simplify
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, TangleError
 
 HARD_CAP = 7
 GATE_CAP = 5
@@ -186,8 +187,6 @@ class _Gluing:
         if token[0] == "split":
             _, a, b, fa, face, comp, new = token
             for fid in new:
-                for d in self.faces[fid]:
-                    pass
                 del self.comp_of_face[fid]
                 del self.faces[fid]
             self.faces[fa] = face
@@ -290,8 +289,6 @@ def generate_diagrams(
         seen_shadows.add(scode)
         if shard is not None:
             jobs, worker = shard
-            import zlib
-
             if zlib.crc32(repr(scode).encode()) % jobs != worker:
                 continue
         # strand connectivity is over/under-independent; boundary-fixing
@@ -337,7 +334,7 @@ def naive_generate(n: int):
         d = TangleDiagram(n, k, alpha, strings)
         try:
             d.validate()
-        except Exception:
+        except TangleError:
             continue
         code = d.canonical_code()
         if code in seen:

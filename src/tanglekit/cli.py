@@ -3,7 +3,8 @@ deduce, reduce.
 
 Every run writes a machine-readable report (JSON with sorted keys, so
 identical inputs yield byte-identical output).  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 budget exceeded.
+1 verification failure, 2 usage error (including a missing or unreadable
+input file, malformed JSON and a bad TANGLEKIT_BUDGET), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from .diagram.identify import identify_link
 from .diagram.invariants import linking_matrix
 from .diagram.pdcode import emit_pd, parse_pd
 from .diagram.rewrite import simplify
-from .errors import BudgetExceeded, NoSolution, ParityViolation, TangleError, UnsupportedCase
+from .errors import (
+    BudgetExceeded,
+    NoSolution,
+    ParityViolation,
+    TangleError,
+    UnsupportedCase,
+    UsageError,
+)
 from .experiments import ExperimentSystem, pjh_tangle, solve_system, verify_solution_tangle
 from .graphdeduce import FactBase, deduce
 
@@ -38,8 +46,10 @@ def _emit(data, out: str | None) -> None:
 
 
 def _read_pd(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
-    return parse_pd(text)
+    if path in (None, "-"):
+        return parse_pd(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_pd(fh.read())
 
 
 def _cmd_solve(args) -> int:
@@ -100,17 +110,11 @@ def _cmd_lk(args) -> int:
 
 def _level_worker(payload):
     n, extended, jobs, worker = payload
-    from .diagram import rewrite
-
-    rewrite._VALIDATE = False
     rep = census.classify_level(n, extended=extended, shard=(jobs, worker))
     return rep.as_dict()
 
 
 def _cmd_enumerate(args) -> int:
-    from .diagram import rewrite
-
-    rewrite._VALIDATE = False
     extended = args.extended
     reports = []
     for n in range(args.max_crossings + 1):
@@ -252,6 +256,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return EXIT_BUDGET
+    except (UsageError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
     except TangleError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_FAIL

@@ -59,12 +59,6 @@ class TangleDiagram:
     def is_ep_dart(self, d: int) -> bool:
         return d >= 4 * self.n
 
-    def crossing_of(self, d: int) -> int:
-        return d // 4
-
-    def slot_of(self, d: int) -> int:
-        return d % 4
-
     def through(self, d: int) -> int:
         """Opposite port of the same strand transit at a crossing."""
         return (d - d % 4) + (d % 4 + 2) % 4
@@ -152,15 +146,6 @@ class TangleDiagram:
             if {under, over} == {ia, ib}:
                 count += 1
         return count
-
-    def self_crossings(self, label: str) -> int:
-        idx = self.components.index(self.component_by_label(label))
-        return sum(
-            1
-            for c in range(self.n)
-            if self.component_of_dart[4 * c] == idx
-            and self.component_of_dart[4 * c + 1] == idx
-        )
 
     # -- faces and planarity -----------------------------------------------
 
@@ -295,9 +280,7 @@ class TangleDiagram:
             s = t % 4
             if c not in xid:
                 xid[c] = len(xid)
-                xrot[c] = (s // (1 if shadow else 2)) * (1 if shadow else 2)
-                if shadow:
-                    xrot[c] = s
+                xrot[c] = s if shadow else s - s % 2
                 for i in range(1, 4):
                     nd = 4 * c + (s + i) % 4
                     if nd not in queued:
@@ -409,23 +392,18 @@ class Wiring:
         self.mate[a] = b
         self.mate[b] = a
 
-    def remove_crossing_splice(self, cid: int) -> list[str]:
-        """Delete crossing `cid`, splicing both transits straight through.
+    def join_through(self, p: tuple, q: tuple) -> tuple | None:
+        """Join the mates of ports p and q and drop both ports.
 
-        Returns markers "loop" for each crossing-free circle created.
+        Returns the joined (mate of p, mate of q) pair, or None when p and
+        q were mated to each other: the splice freed a circle.
         """
-        loops = []
-        for s in (0, 1):
-            a = self.mate[("x", cid, s)]
-            b = self.mate[("x", cid, s + 2)]
-            if a == ("x", cid, s + 2):
-                loops.append("loop")
-            else:
-                self.connect(a, b)
-        for s in range(4):
-            self.mate.pop(("x", cid, s), None)
-        self.order.remove(cid)
-        return loops
+        a = self.mate.pop(p)
+        b = self.mate.pop(q)
+        if a == q:
+            return None
+        self.connect(a, b)
+        return (a, b)
 
     def to_diagram(
         self,

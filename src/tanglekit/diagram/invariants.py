@@ -22,7 +22,7 @@ import os
 from itertools import combinations
 
 from .._poly import LOOP_FACTOR, LaurentPoly
-from ..errors import BudgetExceeded, TangleError
+from ..errors import BudgetExceeded, TangleError, UsageError
 from .core import TangleDiagram, Wiring
 
 A = LaurentPoly.monomial(1)
@@ -40,7 +40,7 @@ def crossing_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise UsageError(f"TANGLEKIT_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _require_closed(d: TangleDiagram) -> None:
@@ -110,14 +110,7 @@ def _smooth(d: TangleDiagram, c: int, kind: int) -> TangleDiagram:
     pairs = ((0, 1), (2, 3)) if kind == 0 else ((0, 3), (1, 2))
     free = 0
     for s, t in pairs:
-        u = w.mate[("x", c, s)]
-        v = w.mate[("x", c, t)]
-        if u == ("x", c, t):
-            free += 1
-        else:
-            w.connect(u, v)
-    for s in range(4):
-        w.mate.pop(("x", c, s), None)
+        free += w.join_through(("x", c, s), ("x", c, t)) is None
     w.order.remove(c)
     raw = w.to_diagram()
     return TangleDiagram(

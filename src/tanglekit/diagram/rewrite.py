@@ -16,14 +16,17 @@ Every move strictly decreases the crossing count, so `simplify` terminates
 at a fixed point of the move set.  The *_add appliers (R1, R2) and the R3
 slide exist for the invariance property suite; they are not used by the
 reducer.
+
+Every applier returns a validated diagram (`TangleDiagram.validate`).  The
+R2 push and the R3 slide rely on that: they try the possible port
+rotations of their new crossings in a fixed order and return the first
+whose result embeds in the plane.
 """
 
 from __future__ import annotations
 
 from ..errors import TangleError
 from .core import TangleDiagram, Wiring
-
-_VALIDATE = True
 
 
 # -- shared bookkeeping --------------------------------------------------------
@@ -35,18 +38,16 @@ def _port_of(d: TangleDiagram, dart: int) -> tuple:
     return ("x", dart // 4, dart % 4)
 
 
+def _transit(c: int, s: int) -> tuple[tuple, tuple]:
+    """The two ports of the strand transit through slot s of crossing c."""
+    return ("x", c, s % 4), ("x", c, (s + 2) % 4)
+
+
 def _splice_crossing(d: TangleDiagram, w: Wiring, c: int, free_labels: list[str]) -> None:
     """Remove crossing c splicing both transits, tracking freed circles."""
     for s in (0, 1):
-        a = w.mate[("x", c, s)]
-        b = w.mate[("x", c, s + 2)]
-        if a == ("x", c, s + 2):
-            comp = d.components[d.component_of_dart[4 * c + s]]
-            free_labels.append(comp.label)
-        else:
-            w.connect(a, b)
-    for s in range(4):
-        w.mate.pop(("x", c, s), None)
+        if w.join_through(*_transit(c, s)) is None:
+            free_labels.append(d.label_of(4 * c + s))
     w.order.remove(c)
 
 
@@ -56,7 +57,7 @@ def _finish(
     free_labels: list[str],
     string_anchor: dict[str, int] | None = None,
 ) -> TangleDiagram:
-    """Freeze a rewired diagram, re-anchoring labels.
+    """Freeze and validate a rewired diagram, re-anchoring labels.
 
     `string_anchor` maps labels to endpoint ids when the move touched the
     boundary; otherwise old anchors are reused.  Loop anchors are moved to
@@ -88,17 +89,14 @@ def _finish(
         else:
             loops.append((comp.label, anchor))
     raw = w.to_diagram()
-    out = TangleDiagram(
+    return TangleDiagram(
         raw.n,
         raw.k,
         raw.alpha,
         tuple(sorted(strings, key=lambda t: t[1])),
         tuple(loops),
         d.free_loops + tuple(free_labels),
-    )
-    if _VALIDATE:
-        out.validate()
-    return out
+    ).validate()
 
 
 # -- reduction moves -----------------------------------------------------------
@@ -244,16 +242,11 @@ def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
         raise TangleError("pull move without boundary gap")
     w = Wiring.from_diagram(d)
     x_cont = w.mate[("x", c, (j + 2) % 4)]
-    a_side = w.mate[("x", c, (j + 1) % 4)]
-    b_side = w.mate[("x", c, (j + 3) % 4)]
     free: list[str] = []
-    if a_side == ("x", c, (j + 3) % 4):
-        comp = d.components[d.component_of_dart[4 * c + (j + 1) % 4]]
-        free.append(comp.label)
-    else:
-        w.connect(a_side, b_side)
-    for slot in range(4):
-        w.mate.pop(("x", c, slot), None)
+    if w.join_through(*_transit(c, j + 1)) is None:
+        free.append(d.label_of(4 * c + (j + 1) % 4))
+    for slot in (j, j + 2):
+        w.mate.pop(("x", c, slot % 4))
     w.order.remove(c)
     w.connect(x_cont, ("e", ep_p))
     # relocate endpoint p into the chosen gap
@@ -338,7 +331,7 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
         w.connect(("x", cq, N), v2)
         try:
             return _finish(d, w, [])
-        except Exception:
+        except TangleError:
             continue
     raise TangleError("R2 push failed to embed")
 
@@ -383,25 +376,10 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
 
     def build(rot_p: int, rot_q: int) -> TangleDiagram:
         w = Wiring.from_diagram(d)
-        free: list[str] = []
-
-        def splice(cid: int, s: int) -> tuple | None:
-            """Straighten the (s, s+2) transit of cid; returns the joined
-            pair, or None when it closed a circle."""
-            pa, pb = ("x", cid, s % 4), ("x", cid, (s + 2) % 4)
-            a, b = w.mate[pa], w.mate[pb]
-            w.mate.pop(pa)
-            w.mate.pop(pb)
-            if a == pb:
-                comp = d.components[d.component_of_dart[4 * cid + s % 4]]
-                free.append(comp.label)
-                return None
-            w.connect(a, b)
-            return (a, b)
-
         # strand A straight through P, strand B straight through Q
-        if splice(P, sP + 1) is None or splice(Q, sQ + 1) is None:
-            raise TangleError("degenerate triangle: side strand loops")
+        for c, s in ((P, sP + 1), (Q, sQ + 1)):
+            if w.join_through(*_transit(c, s)) is None:
+                raise TangleError("degenerate triangle: side strand loops")
         # new crossings on the far sides of R; the sliding strand keeps its
         # level, so its ports take the odd slots exactly when it was over
         p2 = w.new_crossing()
@@ -426,9 +404,9 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
         w.connect(far_b, ("x", q2, b_r))
         w.connect(("x", q2, b_far), xb)
         # lift the sliding strand out of P and Q, keeping its loose edge
-        if splice(P, sP) is None:
+        if w.join_through(*_transit(P, sP)) is None:
             raise TangleError("degenerate triangle: slide strand loops at P")
-        joined = splice(Q, sQ)
+        joined = w.join_through(*_transit(Q, sQ))
         if joined is None:
             raise TangleError("degenerate triangle: slide strand loops at Q")
         mp, mq = joined  # P-side and Q-side of the bypass edge
@@ -442,15 +420,12 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
         w.connect(mp, ("x", q2, m_pin))
         w.connect(("x", q2, m_end), ("x", p2, m_in))
         w.connect(("x", p2, m_out), mq)
-        return _finish(d, w, free)
+        return _finish(d, w, [])
 
-    results = []
     for rot_p in range(4):
         for rot_q in range(4):
             try:
-                results.append(build(rot_p, rot_q))
-            except Exception:
+                return build(rot_p, rot_q)
+            except TangleError:
                 continue
-    if not results:
-        raise TangleError("R3 slide failed to embed")
-    return results[0]
+    raise TangleError("R3 slide failed to embed")

@@ -70,16 +70,11 @@ class _Closer:
         """Add the closure arc ea -> eb (circle direction)."""
         la, lb = self.ep_label[ea], self.ep_label[eb]
         self._merge(la, lb)
-        pa, pb = ("e", ea), ("e", eb)
-        u, v = self.w.mate[pa], self.w.mate[pb]
-        if u == pb:  # the strand ran straight ea..eb: arc closes a circle
+        joined = self.w.join_through(("e", ea), ("e", eb))
+        if joined is None:  # the strand ran straight ea..eb: arc closes a circle
             self.free.append(la)
-        else:
-            self.w.connect(u, v)
-            if u[0] == "x":
-                self.anchors.append((u, la))
-        self.w.mate.pop(pa, None)
-        self.w.mate.pop(pb, None)
+        elif joined[0][0] == "x":
+            self.anchors.append((joined[0], la))
         self.w.endpoints.remove(ea)
         self.w.endpoints.remove(eb)
 
@@ -146,18 +141,14 @@ def cap(d: TangleDiagram, i: int, merged_label: str | None = None) -> TangleDiag
     la, lb = labels[a], labels[b]
     name = merged_label or f"shat{i}"
     w = Wiring.from_diagram(d)
-    pa, pb = ("e", a), ("e", b)
-    u, v = w.mate[pa], w.mate[pb]
     free_extra: list[str] = []
     loop_anchor: tuple | None = None
-    if u == pb:  # the capped pair bounded one crossing-free strand
+    joined = w.join_through(("e", a), ("e", b))
+    if joined is None:  # the capped pair bounded one crossing-free strand
         free_extra.append(la)
-    else:
-        w.connect(u, v)
-        if la == lb:
-            loop_anchor = u if u[0] == "x" else v
-    w.mate.pop(pa, None)
-    w.mate.pop(pb, None)
+    elif la == lb:
+        u, v = joined
+        loop_anchor = u if u[0] == "x" else v
     w.endpoints.remove(a)
     w.endpoints.remove(b)
     start = (b + 1) % 6
@@ -193,22 +184,12 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     for c in range(d.n):
         under = d.component_of_dart[4 * c]
         over = d.component_of_dart[4 * c + 1]
-        if under != idx and over != idx:
+        if idx not in (under, over):
             continue
-        if under == idx and over == idx:
-            for s in range(4):
-                w.mate.pop(("x", c, s), None)
-            w.order.remove(c)
-            continue
-        keep = 1 if under == idx else 0  # surviving transit parity
-        pa = ("x", c, keep)
-        pb = ("x", c, keep + 2)
-        u, v = w.mate[pa], w.mate[pb]
-        if u == pb:
-            survivor = d.components[over if under == idx else under].label
-            free_extra.append(survivor)
-        else:
-            w.connect(u, v)
+        if under != over:
+            keep = 1 if under == idx else 0  # surviving transit parity
+            if w.join_through(("x", c, keep), ("x", c, keep + 2)) is None:
+                free_extra.append(d.label_of(4 * c + keep))
         for s in range(4):
             w.mate.pop(("x", c, s), None)
         w.order.remove(c)

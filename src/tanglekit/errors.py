@@ -33,6 +33,10 @@ class NoSolution(TangleError):
     """Tangle equation system admits no solution."""
 
 
+class UsageError(TangleError):
+    """Invalid invocation or environment setting (exit code 2)."""
+
+
 class BudgetExceeded(TangleError):
     """Crossing count exceeds the configured state-sum or enumeration budget."""
 

@@ -25,7 +25,6 @@ from tanglekit.diagram import (
     identify_link,
     linking_number,
     rational_tangle_diagram,
-    rewrite,
 )
 from tanglekit.diagram.rewrite import apply_r1_add, apply_r2_add, apply_r3, r3_triangles
 from tanglekit.errors import ParityViolation, TangleError
@@ -130,11 +129,7 @@ def test_criterion_5_twist_solvers():
 
 def test_criterion_6_small_crossing_theorem():
     t0 = time.time()
-    rewrite._VALIDATE = False
-    try:
-        reports = verify_theorem_4_4(5)
-    finally:
-        rewrite._VALIDATE = True
+    reports = verify_theorem_4_4(5)
     ok = all(r.holds for r in reports)
     for r in reports:
         ok = ok and (r.total == r.split + r.parallel + r.reducible + len(r.unresolved))

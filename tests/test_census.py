@@ -15,7 +15,7 @@ from tanglekit.census import (
     random_diagram,
     verify_theorem_4_4,
 )
-from tanglekit.diagram import rewrite, simplify
+from tanglekit.diagram import simplify
 from tanglekit.diagram.rewrite import apply_r2_add
 from tanglekit.errors import BudgetExceeded
 from tanglekit.experiments import build_standard
@@ -113,11 +113,7 @@ class TestDetectors:
 
 class TestTheorem:
     def test_levels_zero_to_three(self):
-        rewrite._VALIDATE = False
-        try:
-            reports = verify_theorem_4_4(3)
-        finally:
-            rewrite._VALIDATE = True
+        reports = verify_theorem_4_4(3)
         totals = [r.total for r in reports]
         assert totals == [5, 72, 1020, 15120]
         assert all(r.holds for r in reports)
@@ -132,28 +128,26 @@ class TestTheorem:
 
     def test_classification_stable_under_r2(self):
         rng = random.Random(42)
-        rewrite._VALIDATE = False
-        try:
-            checked = 0
-            while checked < 30:
-                d = random_diagram(rng, rng.randint(0, 4), k=6)
-                verdict = classify(d)
-                faces = [
-                    [x for x in f if x < d.num_darts]
-                    for f in d.faces
-                ]
-                faces = [f for f in faces if len(f) >= 2]
-                if not faces:
-                    continue
-                f = faces[rng.randrange(len(faces))]
-                d1, d2 = rng.sample(f, 2)
-                if d1 == d2 or d.alpha[d1] == d2:
-                    continue
-                pushed = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
-                assert classify(pushed) == verdict
-                checked += 1
-        finally:
-            rewrite._VALIDATE = True
+        checked = 0
+        while checked < 30:
+            d = random_diagram(rng, rng.randint(0, 4), k=6)
+            verdict = classify(d)
+            faces = [
+                [x for x in f if x < d.num_darts]
+                for f in d.faces
+            ]
+            faces = [f for f in faces if len(f) >= 2]
+            if not faces:
+                continue
+            f = faces[rng.randrange(len(faces))]
+            d1, d2 = rng.sample(f, 2)
+            if d1 == d2 or d.alpha[d1] == d2:
+                continue
+            pushed = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
+            assert pushed.validate() is pushed
+            assert pushed.n == d.n + 2
+            assert classify(pushed) == verdict
+            checked += 1
 
     def test_split_parallel_monotone_under_reduction(self):
         rng = random.Random(43)

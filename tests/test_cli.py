@@ -105,6 +105,19 @@ class TestEnumerate:
         ) == 0
         assert json.loads(solo.read_text()) == json.loads(multi.read_text())
 
+    def test_rewrite_results_stay_validated_after_enumerate(self, capsys):
+        # an in-process census must leave the R2 push picking a planar
+        # embedding; an unvalidated push returns a genus-1 rotation here
+        from tanglekit.diagram import close_numerator, rational_tangle_diagram
+        from tanglekit.diagram.rewrite import apply_r2_add
+        from tanglekit.rational import reduce
+
+        assert main(["enumerate", "--max-crossings", "1"]) == 0
+        trefoil = close_numerator(rational_tangle_diagram(reduce(3, 1)))
+        pushed = apply_r2_add(trefoil, 1, 5)
+        assert pushed.validate() is pushed
+        assert pushed.n == trefoil.n + 2
+
 
 class TestDeduce:
     def test_rational_scenario(self, capsys, tmp_path):
@@ -132,3 +145,42 @@ class TestBudget:
         pd = tmp_path / "big.pd"
         pd.write_text(emit_pd(close_numerator(rational_tangle_diagram(reduce(7, 2)))))
         assert main(["identify", "--pd", str(pd)]) == 3
+
+    def test_non_integer_budget_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        from tanglekit.diagram import close_numerator, emit_pd, rational_tangle_diagram
+        from tanglekit.rational import reduce
+
+        monkeypatch.setenv("TANGLEKIT_BUDGET", "abc")
+        pd = tmp_path / "trefoil.pd"
+        pd.write_text(emit_pd(close_numerator(rational_tangle_diagram(reduce(3, 1)))))
+        assert main(["identify", "--pd", str(pd)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TANGLEKIT_BUDGET") and err.count("\n") == 1
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identify", "--pd", "{missing}"],
+            ["verify", "--pd", "{directory}"],
+            ["lk", "--pd", "{binary}"],
+            ["solve", "--config", "{missing}"],
+            ["solve", "--config", "{malformed}"],
+            ["deduce", "--facts", "{missing}"],
+            ["deduce", "--facts", "{malformed}"],
+        ],
+    )
+    def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
+        (tmp_path / "malformed.json").write_text('{"facts": [')
+        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        paths = {
+            "missing": str(tmp_path / "missing"),
+            "directory": str(tmp_path),
+            "binary": str(tmp_path / "binary"),
+            "malformed": str(tmp_path / "malformed.json"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
