@@ -7,21 +7,25 @@ maintaining the frontier faces of the partial complex; gluing within one
 frontier face splits it (planar), gluing across two components merges
 them, and gluing two faces of one component would add genus and is pruned.
 A strand union-find rejects closed loops (tangles have three open strands
-only).  Completed shadows get every over/under assignment and are
-deduplicated by canonical code.
+only).  The search's symmetry breaking makes the emitted shadows pairwise
+distinct, so no dedup is needed; each shadow stands for its 2^n over/under
+variants.
 
 The classification of each diagram follows the small-crossing theorem's
 disjunction: split, else parallel strands, else reducible under free
 isotopy, else unresolved.  Both strand detectors only ever report verdicts
 that are certified combinatorially (a sufficient criterion), so
 incompleteness surfaces as unresolved entries, never as false positives.
+A level is classified shadow by shadow: the weak-string test does not see
+over/under, so one test settles all 2^n variants of most shadows, and
+only the rest are classified variant by variant.
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
+from itertools import count
 
 from .diagram.core import TangleDiagram
 from .diagram.pdcode import emit_pd
@@ -30,6 +34,9 @@ from .errors import BudgetExceeded, TangleError
 
 HARD_CAP = 7
 GATE_CAP = 5
+# search depth at which the tree is dealt out to --jobs workers; deep
+# enough for a few thousand subtrees at n >= 4, so the shares stay even
+SHARD_DEPTH = 6
 
 
 # -- generation ------------------------------------------------------------
@@ -101,9 +108,9 @@ class _Gluing:
         """Legal partners for d0.
 
         By default fresh crossings are offered only through the lowest one
-        at slot 0 (symmetry breaking for the exhaustive search; duplicates
-        from other orders are removed by canonical dedup).  all_fresh lifts
-        that restriction for randomized single walks.
+        at slot 0 (symmetry breaking for the exhaustive search, which thus
+        emits each shadow class once; see generate_diagrams).  all_fresh
+        lifts that restriction for randomized single walks.
         """
         f0 = self.face_of[d0]
         c0 = self.comp_of_face[f0]
@@ -209,23 +216,35 @@ class _Gluing:
             for d in faceb:
                 self.face_of[d] = fb
 
-def _shadow_search(n: int, k: int = 6):
-    """Yield completed alpha tuples of planar loop-free shadows."""
-    state = _Gluing(n, k)
+def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
+    """Yield completed alpha tuples of planar loop-free shadows.
 
-    def rec():
+    `shard=(jobs, worker)` searches only this worker's subtrees: the nodes
+    at depth SHARD_DEPTH are numbered in search order and node i belongs to
+    worker i % jobs; leaves shallower than that belong to worker 0.  Every
+    worker walks the same tree above that depth, so the shares partition
+    the leaves exactly.
+    """
+    jobs, worker = shard or (1, 0)
+    state = _Gluing(n, k)
+    at_depth = count()
+
+    def rec(depth):
+        if depth == SHARD_DEPTH and next(at_depth) % jobs != worker:
+            return
         d0 = state.pivot()
         if d0 is None:
-            yield tuple(state.alpha)
+            if depth >= SHARD_DEPTH or worker == 0:
+                yield tuple(state.alpha)
             return
         for b in state.candidates(d0):
             undo = state.glue(d0, b)
             if undo is None:
                 continue
-            yield from rec()
+            yield from rec(depth + 1)
             state.unglue(undo)
 
-    yield from rec()
+    yield from rec(0)
 
 
 def _strings_of(alpha: tuple[int, ...], n: int, k: int) -> tuple:
@@ -260,6 +279,28 @@ def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
         yield tuple(new_alpha)
 
 
+def _shadows(n: int, extended: bool, shard: tuple[int, int] | None):
+    """Stream the n-crossing shadows as diagrams carrying their strings.
+
+    A shadow's alpha is its variant with every crossing as the search
+    placed it.  Tracing its components (as the weak-string test does)
+    checks that the strings cover every dart.
+    """
+    if n < 0 or n > HARD_CAP:
+        raise BudgetExceeded(f"crossing count {n} outside 0..{HARD_CAP}")
+    if n > GATE_CAP and not extended:
+        raise BudgetExceeded(
+            f"n={n} beyond the desk-scale gate {GATE_CAP}; pass extended=True"
+        )
+    for alpha in _shadow_search(n, 6, shard):
+        yield TangleDiagram(n, 6, alpha, _strings_of(alpha, n, 6))
+
+
+def _variants(shadow: TangleDiagram):
+    for alpha in _over_under_variants(shadow.alpha, shadow.n, shadow.k):
+        yield TangleDiagram(shadow.n, shadow.k, alpha, shadow.strings)
+
+
 def generate_diagrams(
     n: int,
     extended: bool = False,
@@ -270,36 +311,25 @@ def generate_diagrams(
     Diagrams are unique up to rotation-system isomorphism fixing the
     boundary.  n > GATE_CAP needs extended=True; n > HARD_CAP is refused.
 
-    `shard=(jobs, worker)` keeps only shadows whose stable hash lands on
-    this worker; every worker runs the full search but the emitted shadow
-    classes partition exactly, so per-level reports merge by addition.
+    Uniqueness needs no dedup.  The search is a tree whose leaves are
+    distinct alphas, and two leaves that are isomorphic shadows are equal:
+    an isomorphism fixing the boundary fixes the first pivot (an endpoint
+    dart).  Suppose it fixes the darts of every endpoint and crossing met
+    so far.  Both leaves then have the same next pivot (the lowest
+    unmatched dart), and the isomorphism carries the pivot's mate in one
+    leaf to its mate in the other.  A mate on a crossing met before is
+    fixed; a mate on a new crossing is, in both leaves, slot 0 of the
+    lowest fresh crossing, so that crossing is fixed with its rotation.
+    By induction the two leaves coincide.  Boundary-fixing automorphisms of these connected maps are
+    trivial (rooted rigidity), so the 2^n over/under variants of one shadow
+    are pairwise non-isomorphic as well.
+
+    `shard=(jobs, worker)` searches only this worker's subtrees (see
+    _shadow_search); the shares partition the diagrams exactly, so
+    per-level reports merge by addition.
     """
-    if n < 0 or n > HARD_CAP:
-        raise BudgetExceeded(f"crossing count {n} outside 0..{HARD_CAP}")
-    if n > GATE_CAP and not extended:
-        raise BudgetExceeded(
-            f"n={n} beyond the desk-scale gate {GATE_CAP}; pass extended=True"
-        )
-    seen_shadows: set = set()
-    for alpha in _shadow_search(n, 6):
-        shadow = TangleDiagram(n, 6, alpha)
-        scode = shadow.canonical_code(shadow=True)
-        if scode in seen_shadows:
-            continue
-        seen_shadows.add(scode)
-        if shard is not None:
-            jobs, worker = shard
-            if zlib.crc32(repr(scode).encode()) % jobs != worker:
-                continue
-        # strand connectivity is over/under-independent; boundary-fixing
-        # automorphisms of these maps are trivial (rooted rigidity), so the
-        # 2^n assignments of one shadow are pairwise non-isomorphic and no
-        # per-variant dedup is needed.
-        strings = _strings_of(alpha, n, 6)
-        if not strings:
-            continue
-        for variant in _over_under_variants(alpha, n, 6):
-            yield TangleDiagram(n, 6, variant, strings)
+    for shadow in _shadows(n, extended, shard):
+        yield from _variants(shadow)
 
 
 def naive_generate(n: int):
@@ -543,14 +573,30 @@ def classify(d: TangleDiagram) -> str:
 def classify_level(
     n: int, extended: bool = False, shard: tuple[int, int] | None = None
 ) -> EnumerationReport:
+    """Classify every n-crossing diagram, one weak-string test per shadow.
+
+    Lemma: the weak-string verdict is the same for all 2^n over/under
+    variants of a shadow.  A variant turns some crossings a quarter turn,
+    which swaps the strands in the under slots with those in the over
+    slots but keeps the unordered pair of strands meeting there.
+    `_has_weak_string` only counts, per string, the crossings where it
+    meets another string, so its counts, and its verdict, agree on every
+    variant.  A shadow with a weak string therefore adds 2^n split
+    diagrams; the variants of the others go through `classify` one by one.
+    """
     report = EnumerationReport(n)
-    for d in generate_diagrams(n, extended=extended, shard=shard):
-        report.total += 1
-        verdict = classify(d)
-        if verdict == "unresolved":
-            report.unresolved.append(emit_pd(d))
-        else:
-            setattr(report, verdict, getattr(report, verdict) + 1)
+    for shadow in _shadows(n, extended, shard):
+        if _has_weak_string(shadow):
+            report.total += 1 << n
+            report.split += 1 << n
+            continue
+        for d in _variants(shadow):
+            report.total += 1
+            verdict = classify(d)
+            if verdict == "unresolved":
+                report.unresolved.append(emit_pd(d))
+            else:
+                setattr(report, verdict, getattr(report, verdict) + 1)
     return report
 
 

@@ -4,7 +4,8 @@ deduce, reduce.
 Every run writes a machine-readable report (JSON with sorted keys, so
 identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
-input file, malformed JSON and a bad TANGLEKIT_BUDGET), 3 budget exceeded.
+input file, malformed or wrongly shaped JSON, an unknown fact atom and a
+bad TANGLEKIT_BUDGET), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_deduce(args) -> int:
     with open(args.facts, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("facts", []), list):
+        raise UsageError('fact file must be a JSON object {"facts": [...]}')
     fb = FactBase.from_atoms(data.get("facts", []))
     closed, trace = deduce(fb)
     if args.trace:

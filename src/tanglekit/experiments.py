@@ -22,7 +22,7 @@ from .diagram.build import trivial_tangle
 from .diagram.core import TangleDiagram
 from .diagram.identify import LinkId, identify_link, recover_fraction
 from .diagram.surgery import add_boundary_twists, cap, close_with, remove_string
-from .errors import NoSolution, ParityViolation, TangleError
+from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (
     TangleFraction,
     TorusLinkParam,
@@ -58,24 +58,32 @@ class ExperimentSystem:
         return cls()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSystem":
-        deletion = data.get("deletion", {})
-        inversion = data.get("inversion", {})
-        trans = data.get("in_trans", {})
-        framing = data.get("framing", {})
-        return cls(
-            L1=int(deletion.get("e", 4)),
-            L2=int(deletion.get("attR", 4)),
-            L3=int(deletion.get("attL", 4)),
-            inv1=TorusLinkParam(int(inversion.get("e", 3))),
-            inv2=TorusLinkParam(int(inversion.get("attR", 5))),
-            inv3=TorusLinkParam(int(inversion.get("attL", 3))),
-            Lt=int(trans.get("deletion", 2)),
-            inv_t=TorusLinkParam(int(trans.get("inversion", 3))),
-            d1=int(framing.get("d1", 0)),
-            d2=int(framing.get("d2", 0)),
-            d3=int(framing.get("d3", 0)),
-        )
+    def from_dict(cls, data) -> "ExperimentSystem":
+        """Read an `as_dict`-shaped config; a wrong shape is a UsageError."""
+        if not isinstance(data, dict):
+            raise UsageError("experiment config must be a JSON object")
+        sections = []
+        for name in ("deletion", "inversion", "in_trans", "framing"):
+            sections.append(data.get(name, {}))
+            if not isinstance(sections[-1], dict):
+                raise UsageError(f"experiment config {name!r} must be a JSON object")
+        deletion, inversion, trans, framing = sections
+        try:
+            return cls(
+                L1=int(deletion.get("e", 4)),
+                L2=int(deletion.get("attR", 4)),
+                L3=int(deletion.get("attL", 4)),
+                inv1=TorusLinkParam(int(inversion.get("e", 3))),
+                inv2=TorusLinkParam(int(inversion.get("attR", 5))),
+                inv3=TorusLinkParam(int(inversion.get("attL", 3))),
+                Lt=int(trans.get("deletion", 2)),
+                inv_t=TorusLinkParam(int(trans.get("inversion", 3))),
+                d1=int(framing.get("d1", 0)),
+                d2=int(framing.get("d2", 0)),
+                d3=int(framing.get("d3", 0)),
+            )
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"experiment config: {e}") from None
 
     def as_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import InconsistentFacts, TangleError
+from .errors import InconsistentFacts, UsageError
 
 EDGES = ("e1", "e2", "e3", "b12", "b23", "b31")
 VERTEX_STARS = {
@@ -53,6 +53,8 @@ def planar_subgraph(edges: frozenset[str]) -> str:
 
 
 def _validate_atom(atom: str) -> str:
+    if not isinstance(atom, str):
+        raise UsageError(f"fact atom {atom!r} is not a string")
     if atom in (PLANAR, NOT_PLANAR, COMPRESSIBLE):
         return atom
     if ":" in atom:
@@ -63,7 +65,7 @@ def _validate_atom(atom: str) -> str:
             parts = arg.split("+") if arg else []
             if all(p in EDGES for p in parts):
                 return atom
-    raise TangleError(f"unknown fact atom {atom!r}")
+    raise UsageError(f"unknown fact atom {atom!r}")
 
 
 @dataclass(frozen=True)

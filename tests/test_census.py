@@ -1,11 +1,16 @@
 """Diagram enumeration and the small-crossing classification."""
 
 import random
-from itertools import combinations
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglekit.census import (
+    _has_weak_string,
+    _over_under_variants,
+    _shadow_search,
     classify,
     classify_level,
     generate_diagrams,
@@ -15,7 +20,7 @@ from tanglekit.census import (
     random_diagram,
     verify_theorem_4_4,
 )
-from tanglekit.diagram import simplify
+from tanglekit.diagram import TangleDiagram, simplify
 from tanglekit.diagram.rewrite import apply_r2_add
 from tanglekit.errors import BudgetExceeded
 from tanglekit.experiments import build_standard
@@ -80,11 +85,32 @@ class TestGenerator:
         with pytest.raises(BudgetExceeded):
             next(generate_diagrams(6))
 
+    def test_shadow_codes_pairwise_distinct(self):
+        # the search's symmetry breaking stands in for a dedup set
+        for n in range(5):
+            codes = {
+                TangleDiagram(n, 6, alpha).canonical_code(shadow=True)
+                for alpha in _shadow_search(n)
+            }
+            assert len(codes) == sum(1 for _ in _shadow_search(n))
+
     def test_shard_partition(self):
-        full = classify_level(2)
-        parts = [classify_level(2, shard=(3, w)) for w in range(3)]
-        merged = parts[0].merge(parts[1]).merge(parts[2])
-        assert merged.as_dict() == full.as_dict()
+        for n in range(4):
+            full = classify_level(n)
+            for jobs in (2, 3):
+                merged = classify_level(n, shard=(jobs, 0))
+                for w in range(1, jobs):
+                    merged = merged.merge(classify_level(n, shard=(jobs, w)))
+                assert merged.as_dict() == full.as_dict()
+
+    def test_shards_partition_the_shadows(self):
+        for n in range(4):
+            full = list(_shadow_search(n))
+            for jobs in (2, 3):
+                shares = [list(_shadow_search(n, shard=(jobs, w))) for w in range(jobs)]
+                assert sorted(sum(shares, [])) == sorted(full)
+                if n >= 2:
+                    assert all(shares)
 
 
 class TestDetectors:
@@ -109,6 +135,29 @@ class TestDetectors:
         from tanglekit.diagram import trivial_tangle
 
         assert classify(trivial_tangle()) == "split"
+
+
+class TestShadowVerdict:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_weak_string_constant_across_variants(self, seed, n):
+        shadow = random_diagram(random.Random(seed), n)
+        verdicts = {
+            _has_weak_string(TangleDiagram(n, 6, alpha, shadow.strings))
+            for alpha in _over_under_variants(shadow.alpha, n, 6)
+        }
+        assert len(verdicts) == 1
+
+    def test_level_matches_per_variant_tally(self):
+        # oracle: the full classify on every diagram, no per-shadow shortcut
+        for n in range(4):
+            tally = Counter(classify(d) for d in generate_diagrams(n))
+            report = classify_level(n)
+            assert report.total == sum(tally.values())
+            assert report.split == tally["split"]
+            assert report.parallel == tally["parallel"]
+            assert report.reducible == tally["reducible"]
+            assert len(report.unresolved) == tally["unresolved"]
 
 
 class TestTheorem:

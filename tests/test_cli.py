@@ -105,6 +105,13 @@ class TestEnumerate:
         ) == 0
         assert json.loads(solo.read_text()) == json.loads(multi.read_text())
 
+    def test_jobs_report_byte_identical(self):
+        # pool workers each search their own subtrees of the shadow search
+        solo = run_cli(["enumerate", "--max-crossings", "3"])
+        multi = run_cli(["enumerate", "--max-crossings", "3", "--jobs", "2"])
+        assert solo.returncode == multi.returncode == 0
+        assert multi.stdout == solo.stdout
+
     def test_rewrite_results_stay_validated_after_enumerate(self, capsys):
         # an in-process census must leave the R2 push picking a planar
         # embedding; an unvalidated push returns a genus-1 rotation here
@@ -129,6 +136,12 @@ class TestDeduce:
         data = json.loads(capsys.readouterr().out)
         assert data["planar"] and data["consistent"]
         assert "Planar" in trace.read_text()
+
+    def test_unknown_atom_is_a_usage_error(self, tmp_path, capsys):
+        facts = tmp_path / "facts.json"
+        facts.write_text(json.dumps({"facts": ["Planar", "Bogus(x)"]}))
+        assert main(["deduce", "--facts", str(facts)]) == 2
+        assert capsys.readouterr().err == "error: unknown fact atom 'Bogus(x)'\n"
 
     def test_empty_facts(self, capsys):
         assert main(["deduce", "--facts", "tests/fixtures/facts_empty.json"]) == 0
@@ -169,17 +182,34 @@ class TestBadInput:
             ["solve", "--config", "{malformed}"],
             ["deduce", "--facts", "{missing}"],
             ["deduce", "--facts", "{malformed}"],
+            ["solve", "--config", "{list}"],
+            ["solve", "--config", "{wrong_section}"],
+            ["solve", "--config", "{not_a_number}"],
+            ["deduce", "--facts", "{list}"],
+            ["deduce", "--facts", "{facts_not_a_list}"],
+            ["deduce", "--facts", "{unknown_atom}"],
+            ["deduce", "--facts", "{number_atom}"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
-        (tmp_path / "malformed.json").write_text('{"facts": [')
-        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        files = {
+            "malformed": '{"facts": [',
+            "list": "[]",
+            "wrong_section": '{"deletion": [4, 4, 4]}',
+            "not_a_number": '{"framing": {"d1": "one"}}',
+            "facts_not_a_list": '{"facts": "Planar"}',
+            "unknown_atom": '{"facts": ["Bogus(x)"]}',
+            "number_atom": '{"facts": [5]}',
+        }
         paths = {
             "missing": str(tmp_path / "missing"),
             "directory": str(tmp_path),
             "binary": str(tmp_path / "binary"),
-            "malformed": str(tmp_path / "malformed.json"),
         }
+        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+            paths[name] = str(tmp_path / f"{name}.json")
         assert main([arg.format(**paths) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
