@@ -4,8 +4,9 @@ deduce, reduce.
 Every run writes a machine-readable report (JSON with sorted keys, so
 identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
-input file, malformed or wrongly shaped JSON, an unknown fact atom and a
-bad TANGLEKIT_BUDGET), 3 budget exceeded.
+input file, malformed or wrongly shaped JSON, a config value that is not
+a JSON integer, an unknown fact atom and a bad TANGLEKIT_BUDGET), 3 budget
+exceeded.
 """
 
 from __future__ import annotations

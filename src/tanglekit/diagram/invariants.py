@@ -2,12 +2,17 @@
 
 Two independent Kauffman bracket implementations are kept side by side:
 
-- `bracket_state_sum` iterates all 2^n smoothing states and counts state
-  loops with a union-find over darts;
-- `bracket_skein` resolves one crossing at a time, memoized on canonical
-  diagram codes.
+- `bracket_state_sum` iterates all 2^n smoothing states, counts each
+  state's loops by walking the darts, and tallies a histogram over
+  (A-exponent, loops);
+- `bracket_skein` contracts the diagram one crossing at a time in BFS
+  order, keeping the partial state sum as counts per (frontier matching,
+  A-exponent, closed loops), so its cost follows the frontier's width
+  rather than 2^n (the local contraction of Bar-Natan, "Fast Khovanov
+  homology computations", applied to Kauffman's state model).
 
-`identify`-level code runs both and refuses to answer when they disagree.
+Both build a single polynomial at the end.  `identify`-level code runs
+both and refuses to answer when they disagree.
 
 The fingerprint used for link identification is orientation-free: the
 writhe-normalized bracket (-A^3)^{-w} <D> is collected over every choice
@@ -20,13 +25,12 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
+from math import comb
 
-from .._poly import LOOP_FACTOR, LaurentPoly
+from .._poly import LaurentPoly
 from ..errors import BudgetExceeded, TangleError, UsageError
-from .core import TangleDiagram, Wiring
+from .core import TangleDiagram
 
-A = LaurentPoly.monomial(1)
-A_INV = LaurentPoly.monomial(-1)
 MINUS_A_CUBED = LaurentPoly.monomial(3, -1)
 MINUS_A_INV_CUBED = LaurentPoly.monomial(-3, -1)
 
@@ -55,99 +59,226 @@ def _check_budget(d: TangleDiagram) -> None:
         )
 
 
+# -- both brackets: histogram to polynomial ------------------------------------
+
+
+def _histogram_poly(hist: dict[tuple[int, int], int]) -> LaurentPoly:
+    """Sum count * A^e * delta^(loops - 1) over {(e, loops): count}.
+
+    delta^m = (-A^2 - A^-2)^m = (-1)^m sum_j C(m, j) A^(4j - 2m).  The one
+    state of the empty diagram has no loops and contributes A^0 = 1.
+    """
+    out: dict[int, int] = {}
+    for (e, loops), count in hist.items():
+        m = loops - 1
+        if m < 0:
+            out[e] = out.get(e, 0) + count
+            continue
+        signed = -count if m % 2 else count
+        for j in range(m + 1):
+            x = e + 4 * j - 2 * m
+            out[x] = out.get(x, 0) + signed * comb(m, j)
+    return LaurentPoly(out)
+
+
 # -- state-sum bracket -------------------------------------------------------
 
 
 def bracket_state_sum(d: TangleDiagram) -> LaurentPoly:
-    """<D> via the full 2^n smoothing state sum; <unknot> = 1."""
+    """<D> via the full 2^n smoothing state sum; <unknot> = 1.
+
+    Each state sets every crossing's smoothing partner (A joins slots 0-1
+    and 2-3, B joins 0-3 and 1-2) and counts its loops by walking
+    alternately along alpha and the partner map, marking darts in a
+    bytearray.  The states are visited in Gray-code order, so each one
+    re-pairs the four slots of a single crossing, and are tallied in a
+    histogram {(A-exponent, loops): count} that becomes one polynomial at
+    the end.
+    """
     _require_closed(d)
     _check_budget(d)
     n = d.n
-    if n == 0:
-        loops = len(d.loops) + len(d.free_loops)
-        return LOOP_FACTOR.pow(loops - 1) if loops else LaurentPoly.one()
-    total = LaurentPoly.zero()
-    nd = d.num_darts
+    nd = 4 * n
     alpha = d.alpha
-    for state in range(1 << n):
-        parent = list(range(nd))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for dart in range(nd):
-            union(dart, alpha[dart])
-        a_count = 0
-        for c in range(n):
-            base = 4 * c
-            if (state >> c) & 1 == 0:
-                a_count += 1
-                union(base, base + 1)
-                union(base + 2, base + 3)
+    partner = [x ^ 1 for x in range(nd)]  # all-A state
+    a_count = n
+    hist: dict[tuple[int, int], int] = {}
+    for i in range(1 << n):
+        if i:
+            base = 4 * ((i & -i).bit_length() - 1)
+            if partner[base] == base + 1:
+                partner[base : base + 4] = (base + 3, base + 2, base + 1, base)
+                a_count -= 1
             else:
-                union(base, base + 3)
-                union(base + 1, base + 2)
-        loops = len({find(x) for x in range(nd)}) + len(d.free_loops)
-        term = LaurentPoly.monomial(a_count - (n - a_count))
-        total = total + term * LOOP_FACTOR.pow(loops - 1)
-    return total
+                partner[base : base + 4] = (base + 1, base, base + 3, base + 2)
+                a_count += 1
+        seen = bytearray(nd)
+        loops = len(d.free_loops)
+        for start in range(nd):
+            if seen[start]:
+                continue
+            loops += 1
+            x = start
+            while True:
+                seen[x] = 1
+                y = alpha[x]
+                seen[y] = 1
+                x = partner[y]
+                if x == start:
+                    break
+        key = (2 * a_count - n, loops)
+        hist[key] = hist.get(key, 0) + 1
+    return _histogram_poly(hist)
 
 
-# -- skein-recursion bracket --------------------------------------------------
+# -- frontier-contraction bracket ----------------------------------------------
+
+_PARTNER = ((1, 0, 3, 2), (3, 2, 1, 0))  # slot joined to each slot: A, B
 
 
-def _smooth(d: TangleDiagram, c: int, kind: int) -> TangleDiagram:
-    """Replace crossing c by its A (kind=0) or B (kind=1) smoothing."""
-    w = Wiring.from_diagram(d)
-    pairs = ((0, 1), (2, 3)) if kind == 0 else ((0, 3), (1, 2))
-    free = 0
-    for s, t in pairs:
-        free += w.join_through(("x", c, s), ("x", c, t)) is None
-    w.order.remove(c)
-    raw = w.to_diagram()
-    return TangleDiagram(
-        raw.n, 0, raw.alpha, (), (), d.free_loops + ("o",) * free
-    )
+def _crossing_order(d: TangleDiagram) -> list[int]:
+    """Crossings in BFS order along arcs, one connected piece after another."""
+    order: list[int] = []
+    seen = bytearray(d.n)
+    for root in range(d.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            c = order[head]
+            head += 1
+            for s in range(4):
+                nb = d.alpha[4 * c + s] // 4
+                if not seen[nb]:
+                    seen[nb] = 1
+                    order.append(nb)
+    return order
 
 
-def bracket_skein(d: TangleDiagram, _memo: dict | None = None) -> LaurentPoly:
-    """<D> by recursive skein resolution with canonical-code memoization."""
+def _plan(alpha: tuple[int, ...], frontier: list[int], c: int, done: bytearray):
+    """How crossing c attaches to the frontier; returns (step, new frontier).
+
+    The frontier lists the darts of contracted crossings whose arcs lead to
+    crossings not yet contracted.  In the step (attach, newpos, ends, width):
+    attach[i] is the slot of c that frontier dart i's arc reaches (-1 if
+    none); newpos[i] is its position in the new frontier (-1 once c absorbs
+    it); ends[s] says where the arc leaving slot s goes: another slot t of c
+    (t), a dart of the new frontier at position j (4 + j), or the old
+    frontier dart at position i (-1 - i); width is the new frontier's size.
+    """
+    base = 4 * c
+    attach = [-1] * len(frontier)
+    ends = [0] * 4
+    new_frontier: list[int] = []
+    newpos = []
+    for i, x in enumerate(frontier):
+        y = alpha[x]
+        if y // 4 == c:
+            attach[i] = y - base
+            ends[y - base] = -1 - i
+            newpos.append(-1)
+        else:
+            newpos.append(len(new_frontier))
+            new_frontier.append(x)
+    for s in range(4):
+        y = alpha[base + s]
+        if y // 4 == c:
+            ends[s] = y - base
+        elif not done[y // 4]:
+            ends[s] = 4 + len(new_frontier)
+            new_frontier.append(base + s)
+    return (attach, newpos, ends, len(new_frontier)), new_frontier
+
+
+def _smooth(match: tuple[int, ...], step, kind: int) -> tuple[tuple[int, ...], int]:
+    """Apply the A (kind=0) or B (kind=1) smoothing of a step's crossing.
+
+    `match` pairs the old frontier positions (match[i] is i's partner
+    through the contracted part).  Returns the new frontier's matching and
+    the number of loops the smoothing closed.
+    """
+    attach, newpos, ends, width = step
+    partner = _PARTNER[kind]
+    new = [-1] * width
+    for i, j in enumerate(match):
+        if attach[i] < 0 and attach[j] < 0:
+            new[newpos[i]] = newpos[j]
+    # out[s]: where the strand leaving slot s outward comes back to this
+    # crossing (slot u < 4), or the new frontier position j it ends at (4 + j)
+    out = [0] * 4
+    for s in range(4):
+        e = ends[s]
+        if e < 0:
+            j = match[-1 - e]
+            e = attach[j] if attach[j] >= 0 else 4 + newpos[j]
+        out[s] = e
+    seen = [False] * 4
+    for s in range(4):
+        if seen[s] or out[s] < 4:
+            continue
+        t = s
+        while True:
+            seen[t] = True
+            u = partner[t]
+            seen[u] = True
+            end = out[u]
+            if end >= 4:
+                break
+            t = end
+        new[out[s] - 4] = end - 4
+        new[end - 4] = out[s] - 4
+    closed = 0
+    for s in range(4):
+        if seen[s]:
+            continue
+        closed += 1
+        t = s
+        while not seen[t]:
+            seen[t] = True
+            u = partner[t]
+            seen[u] = True
+            t = out[u]
+    return tuple(new), closed
+
+
+def bracket_skein(d: TangleDiagram) -> LaurentPoly:
+    """<D> by contracting the diagram one crossing at a time.
+
+    Crossings are added in `_crossing_order`.  After each one, the partial
+    state sum over the contracted crossings is a map (frontier matching,
+    A-exponent, closed loops) -> number of states, grouped by matching so
+    that `_smooth` runs once per matching and smoothing.  Merging lemma:
+    states that agree on the frontier matching, the exponent and the loop
+    count contribute identically to the rest of the sum, because how the
+    remaining crossings' smoothings close loops depends only on which
+    frontier darts the contracted part joins.  So each map entry stands
+    for all its states, the map grows with the number of matchings of the
+    frontier (times exponents and loop counts) rather than with 2^n, and
+    at the end, with the frontier empty, its tally becomes one polynomial.
+    """
     _require_closed(d)
     _check_budget(d)
-    memo = _memo if _memo is not None else {}
-
-    def rec(diag: TangleDiagram) -> LaurentPoly:
-        if diag.n == 0:
-            # count circles: alpha orbits under strand tracing
-            loops = len(diag.free_loops)
-            seen: set[int] = set()
-            for dart in range(diag.num_darts):
-                if dart in seen:
-                    continue
-                darts, closed = diag._trace_from(dart)
-                seen.update(darts)
-                seen.update(diag.alpha[x] for x in darts)
-                loops += 1
-            return LOOP_FACTOR.pow(loops - 1) if loops else LaurentPoly.one()
-        key = (diag.canonical_code(), len(diag.free_loops))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        a_side = rec(_smooth(diag, 0, 0))
-        b_side = rec(_smooth(diag, 0, 1))
-        out = A * a_side + A_INV * b_side
-        memo[key] = out
-        return out
-
-    return rec(TangleDiagram(d.n, 0, d.alpha, (), (), d.free_loops))
+    states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    frontier: list[int] = []
+    done = bytearray(d.n)
+    for c in _crossing_order(d):
+        step, frontier = _plan(d.alpha, frontier, c, done)
+        done[c] = 1
+        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for match, tally in states.items():
+            for kind, de in ((0, 1), (1, -1)):
+                new, closed = _smooth(match, step, kind)
+                acc = nxt.setdefault(new, {})
+                for (e, loops), count in tally.items():
+                    key = (e + de, loops + closed)
+                    acc[key] = acc.get(key, 0) + count
+        states = nxt
+    free = len(d.free_loops)
+    return _histogram_poly(
+        {(e, loops + free): count for (e, loops), count in states[()].items()}
+    )
 
 
 def bracket_both(d: TangleDiagram) -> LaurentPoly:

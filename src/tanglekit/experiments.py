@@ -68,22 +68,28 @@ class ExperimentSystem:
             if not isinstance(sections[-1], dict):
                 raise UsageError(f"experiment config {name!r} must be a JSON object")
         deletion, inversion, trans, framing = sections
-        try:
-            return cls(
-                L1=int(deletion.get("e", 4)),
-                L2=int(deletion.get("attR", 4)),
-                L3=int(deletion.get("attL", 4)),
-                inv1=TorusLinkParam(int(inversion.get("e", 3))),
-                inv2=TorusLinkParam(int(inversion.get("attR", 5))),
-                inv3=TorusLinkParam(int(inversion.get("attL", 3))),
-                Lt=int(trans.get("deletion", 2)),
-                inv_t=TorusLinkParam(int(trans.get("inversion", 3))),
-                d1=int(framing.get("d1", 0)),
-                d2=int(framing.get("d2", 0)),
-                d3=int(framing.get("d3", 0)),
-            )
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"experiment config: {e}") from None
+
+        def value(section: dict, name: str, key: str, default: int) -> int:
+            got = section.get(key, default)
+            if type(got) is not int:  # bool is an int subclass; floats truncate
+                raise UsageError(
+                    f"experiment config {name}.{key} must be an integer, got {got!r}"
+                )
+            return got
+
+        return cls(
+            L1=value(deletion, "deletion", "e", 4),
+            L2=value(deletion, "deletion", "attR", 4),
+            L3=value(deletion, "deletion", "attL", 4),
+            inv1=TorusLinkParam(value(inversion, "inversion", "e", 3)),
+            inv2=TorusLinkParam(value(inversion, "inversion", "attR", 5)),
+            inv3=TorusLinkParam(value(inversion, "inversion", "attL", 3)),
+            Lt=value(trans, "in_trans", "deletion", 2),
+            inv_t=TorusLinkParam(value(trans, "in_trans", "inversion", 3)),
+            d1=value(framing, "framing", "d1", 0),
+            d2=value(framing, "framing", "d2", 0),
+            d3=value(framing, "framing", "d3", 0),
+        )
 
     def as_dict(self) -> dict:
         return {

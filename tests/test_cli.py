@@ -189,6 +189,8 @@ class TestBadInput:
             ["deduce", "--facts", "{facts_not_a_list}"],
             ["deduce", "--facts", "{unknown_atom}"],
             ["deduce", "--facts", "{number_atom}"],
+            ["solve", "--config", "{fractional}"],
+            ["solve", "--config", "{boolean}"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -197,6 +199,8 @@ class TestBadInput:
             "list": "[]",
             "wrong_section": '{"deletion": [4, 4, 4]}',
             "not_a_number": '{"framing": {"d1": "one"}}',
+            "fractional": '{"deletion": {"e": 4.7}}',
+            "boolean": '{"deletion": {"e": true}}',
             "facts_not_a_list": '{"facts": "Planar"}',
             "unknown_atom": '{"facts": ["Bogus(x)"]}',
             "number_atom": '{"facts": [5]}',

@@ -1,13 +1,19 @@
 """Diagram engine: construction, closures, invariants, identification."""
 
+import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglekit._poly import LOOP_FACTOR, LaurentPoly
+from tanglekit.census import random_diagram
 from tanglekit.diagram import (
     TangleDiagram,
     add_boundary_twists,
+    apply_r1_add,
+    apply_r2_add,
     bracket_both,
     bracket_skein,
     bracket_state_sum,
@@ -90,10 +96,6 @@ class TestBracket:
         assert bracket_state_sum(h) == LaurentPoly({4: -1, -4: -1})
 
     def test_implementations_agree_up_to_eight(self):
-        import random
-
-        from tanglekit.census import random_diagram
-
         rng = random.Random(20240817)
         for _ in range(40):
             n = rng.randint(0, 8)
@@ -106,10 +108,130 @@ class TestBracket:
         d = close_numerator(horizontal_twists(zero_tangle(), 5))
         with pytest.raises(BudgetExceeded):
             bracket_state_sum(d)
+        with pytest.raises(BudgetExceeded):
+            bracket_skein(d)
 
     def test_open_diagram_rejected(self):
         with pytest.raises(TangleError):
             bracket_state_sum(zero_tangle())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.sampled_from(["numerator", "denominator", "x_arcs"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    )
+    # closures with smoothings that share a canonical_code but not a bracket
+    @example(3, 8, "numerator", 0, 0)
+    @example(3, 8, "x_arcs", 0, 0)
+    def test_contraction_matches_state_sum(self, seed, n, closure, moves, free):
+        d = _random_closed_diagram(seed, n, closure, moves, free)
+        assert bracket_skein(d) == bracket_state_sum(d)
+
+    def test_state_sum_matches_union_find_oracle(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            d = _random_closed_diagram(
+                rng.getrandbits(32),
+                rng.randint(0, 10),
+                rng.choice(["numerator", "denominator", "x_arcs"]),
+                rng.randint(0, 3),
+                rng.randint(0, 2),
+            )
+            assert bracket_state_sum(d) == _union_find_state_sum(d)
+
+    def test_table_references_match_union_find_oracle(self):
+        refs = [
+            TangleDiagram(0, 0, (), (), (), ("o",)),
+            TangleDiagram(0, 0, (), (), (), ("o1", "o2")),
+        ]
+        for P in range(2, 11):
+            for q in range(1, P):
+                if gcd(P, q) == 1:
+                    for sign in (1, -1):
+                        refs.append(
+                            close_numerator(rational_tangle_diagram(reduce(sign * P, q)))
+                        )
+        assert len(refs) == 64
+        for d in refs:
+            want = _union_find_state_sum(d)
+            assert bracket_state_sum(d) == want
+            assert bracket_skein(d) == want
+
+
+def _random_closed_diagram(seed, n, closure, moves, free):
+    """A random closed diagram with at most 10 crossings.
+
+    A random tangle with n crossings is closed by the 0/1 or 1/0 filler
+    (1 or 2 components) or along its x-arcs (3 components), inflated by
+    `moves` random R1/R2 moves while they fit, and given `free` extra
+    crossing-free loops.
+    """
+    rng = random.Random(seed)
+    if closure == "x_arcs":
+        d = close_with_x_arcs(random_diagram(rng, n, k=6))
+    else:
+        filler = TangleFraction(0, 1) if closure == "numerator" else TangleFraction(1, 0)
+        d = close_with(random_diagram(rng, n, k=4), filler)
+    for _ in range(moves):
+        edges = [
+            pair
+            for face in d.faces
+            for pair in zip(face, face[1:])
+            if pair[1] < d.num_darts and d.alpha[pair[0]] != pair[1]
+        ]
+        if d.n + 2 <= 10 and edges and rng.random() < 0.5:
+            d1, d2 = edges[rng.randrange(len(edges))]
+            d = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
+        elif d.num_darts and d.n + 1 <= 10:
+            d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
+    return TangleDiagram(
+        d.n, 0, d.alpha, (), d.loops, d.free_loops + tuple(f"f{i}" for i in range(free))
+    )
+
+
+def _union_find_state_sum(d):
+    """The 2^n state sum with a union-find per state and one polynomial per
+    state, as the bracket was first written; kept as an oracle."""
+    n = d.n
+    if n == 0:
+        loops = len(d.loops) + len(d.free_loops)
+        return LOOP_FACTOR.pow(loops - 1) if loops else LaurentPoly.one()
+    total = LaurentPoly.zero()
+    nd = d.num_darts
+    alpha = d.alpha
+    for state in range(1 << n):
+        parent = list(range(nd))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        for dart in range(nd):
+            union(dart, alpha[dart])
+        a_count = 0
+        for c in range(n):
+            base = 4 * c
+            if (state >> c) & 1 == 0:
+                a_count += 1
+                union(base, base + 1)
+                union(base + 2, base + 3)
+            else:
+                union(base, base + 3)
+                union(base + 1, base + 2)
+        loops = len({find(x) for x in range(nd)}) + len(d.free_loops)
+        term = LaurentPoly.monomial(a_count - (n - a_count))
+        total = total + term * LOOP_FACTOR.pow(loops - 1)
+    return total
 
 
 class TestIdentify:
