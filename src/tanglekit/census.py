@@ -2,30 +2,30 @@
 
 Diagrams are generated as planar gluings: n pre-allocated crossings (four
 darts each, counterclockwise) plus the six boundary endpoints in fixed
-circular order.  A backtracking search matches darts pairwise while
-maintaining the frontier faces of the partial complex; gluing within one
-frontier face splits it (planar), gluing across two components merges
-them, and gluing two faces of one component would add genus and is pruned.
-A strand union-find rejects closed loops (tangles have three open strands
-only).  The search's symmetry breaking makes the emitted shadows pairwise
-distinct, so no dedup is needed; each shadow stands for its 2^n over/under
-variants.
+circular order.  A backtracking search, one generator frame with an
+explicit stack, matches darts pairwise while maintaining the frontier
+faces of the partial complex; gluing within one frontier face splits it
+(planar), gluing across two components merges them, and gluing two faces
+of one component would add genus and is pruned.  A strand union-find
+rejects closed loops (tangles have three open strands only).  The search's
+symmetry breaking makes the emitted shadows pairwise distinct, so no dedup
+is needed; each shadow stands for its 2^n over/under variants.
 
 The classification of each diagram follows the small-crossing theorem's
 disjunction: split, else parallel strands, else reducible under free
 isotopy, else unresolved.  Both strand detectors only ever report verdicts
 that are certified combinatorially (a sufficient criterion), so
 incompleteness surfaces as unresolved entries, never as false positives.
-A level is classified shadow by shadow: the weak-string test does not see
-over/under, so one test settles all 2^n variants of most shadows, and
-only the rest are classified variant by variant.
+A level is classified shadow by shadow: the weak-string test, run on a
+flat map from each dart to its strand, does not see over/under, so one
+test settles all 2^n variants of most shadows; only the rest become
+diagrams and are classified variant by variant.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import count
 
 from .diagram.core import TangleDiagram
 from .diagram.pdcode import emit_pd
@@ -48,51 +48,26 @@ class _Gluing:
     def __init__(self, n: int, k: int = 6):
         self.n = n
         self.k = k
-        self.nd = 4 * n + k
-        self.alpha = [-1] * self.nd
-        # strand segments: crossing transits pre-joined
-        self.seg = list(range(self.nd))
+        self.alpha = [-1] * (4 * n + k)
+        # strand segments, crossing transits pre-joined; no path compression,
+        # so a union is undone on backtrack by resetting one root
+        self.seg = list(range(4 * n + k))
         for c in range(n):
-            self._seg_union(4 * c, 4 * c + 2)
-            self._seg_union(4 * c + 1, 4 * c + 3)
-        # frontier faces: boundary cycle + one per crossing
-        self.faces: dict[int, list[int]] = {}
-        self.face_of: dict[int, int] = {}
-        self.comp_of_face: dict[int, int] = {}
-        self.next_face = 0
-        self.next_comp = 0
-        boundary = [4 * n + j for j in range(k)]
-        self._new_face(boundary, self._new_comp())
-        self.boundary_comp = 0
-        # hole boundaries run against the vertex rotation
-        for c in range(n):
-            self._new_face([4 * c, 4 * c + 3, 4 * c + 2, 4 * c + 1], self._new_comp())
+            self.seg[4 * c] = 4 * c + 2
+            self.seg[4 * c + 1] = 4 * c + 3
+        # frontier faces, numbered like their components: the boundary
+        # cycle, then one hole per crossing, running against the rotation
+        holes = [[4 * c, 4 * c + 3, 4 * c + 2, 4 * c + 1] for c in range(n)]
+        self.faces = dict(enumerate([[4 * n + j for j in range(k)]] + holes))
+        self.face_of = {d: fid for fid, face in self.faces.items() for d in face}
+        self.comp_of_face = {fid: fid for fid in self.faces}
+        self.next_face = n + 1
         self.fresh = set(range(n))
 
-    def _new_comp(self) -> int:
-        cid = self.next_comp
-        self.next_comp += 1
-        return cid
-
-    def _new_face(self, darts: list[int], comp: int) -> int:
-        fid = self.next_face
-        self.next_face += 1
-        self.faces[fid] = darts
-        for d in darts:
-            self.face_of[d] = fid
-        self.comp_of_face[fid] = comp
-        return fid
-
     def _seg_find(self, x: int) -> int:
-        # no path compression: unions must be undoable on backtrack
         while self.seg[x] != x:
             x = self.seg[x]
         return x
-
-    def _seg_union(self, a: int, b: int) -> None:
-        ra, rb = self._seg_find(a), self._seg_find(b)
-        if ra != rb:
-            self.seg[ra] = rb
 
     def pivot(self) -> int | None:
         """Lowest unmatched dart, boundary endpoints first."""
@@ -112,112 +87,105 @@ class _Gluing:
         emits each shadow class once; see generate_diagrams).  all_fresh
         lifts that restriction for randomized single walks.
         """
+        faces, fresh, seg = self.faces, self.fresh, self.seg
         f0 = self.face_of[d0]
         c0 = self.comp_of_face[f0]
-        out = [d for d in self.faces[f0] if d != d0]
+        out = [d for d in faces[f0] if d != d0]
         for fid, comp in self.comp_of_face.items():
-            if comp == c0 or fid == f0:
-                continue
-            crossing = self.faces[fid][0] // 4
-            if crossing in self.fresh:
-                continue  # fresh pieces handled below
-            out.extend(self.faces[fid])
+            # fresh crossings' holes are offered below
+            if comp != c0 and faces[fid][0] // 4 not in fresh:
+                out.extend(faces[fid])
         if all_fresh:
-            out.extend(4 * c for c in self.fresh if c != d0 // 4)
-        elif self.fresh:
-            rep = min(self.fresh)
+            out.extend(4 * c for c in fresh if c != d0 // 4)
+        elif fresh:
+            rep = min(fresh)
             if rep != d0 // 4:
                 out.append(4 * rep)  # fresh crossing joins via slot 0
         # loop-closure pruning
-        return [d for d in out if self._seg_find(d) != self._seg_find(d0)]
+        r0 = self._seg_find(d0)
+        keep = []
+        for d in out:
+            r = d
+            while seg[r] != r:
+                r = seg[r]
+            if r != r0:
+                keep.append(d)
+        return keep
 
     def glue(self, a: int, b: int):
-        """Match darts a and b; returns an undo token or None when pruned."""
-        fa, fb = self.face_of[a], self.face_of[b]
+        """Match darts a and b; returns an undo token or None when pruned.
+
+        Gluing within one frontier face splits it; gluing faces of two
+        components merges them (relabelling b's component to a's); gluing
+        two faces of one component would add genus.
+        """
+        faces, face_of, comp_of_face = self.faces, self.face_of, self.comp_of_face
+        fa, fb = face_of[a], face_of[b]
+        ca, cb = comp_of_face[fa], comp_of_face[fb]
         if fa == fb:
-            face = self.faces[fa]
+            face = faces.pop(fa)
+            del comp_of_face[fa]
             ia, ib = face.index(a), face.index(b)
             if ia > ib:
                 ia, ib = ib, ia
-                a2, b2 = b, a
-            else:
-                a2, b2 = a, b
-            left = face[ia + 1 : ib]
-            right = face[ib + 1 :] + face[:ia]
-            comp = self.comp_of_face[fa]
-            del self.faces[fa]
-            del self.comp_of_face[fa]
-            new = []
-            for part in (left, right):
-                if part:
-                    new.append(self._new_face(part, comp))
-            token = ("split", a, b, fa, face, comp, new)
+            parts = (face[ia + 1 : ib], face[ib + 1 :] + face[:ia])
+            removed = ((fa, face, ca),)
+            relabeled = ()
+        elif ca == cb:
+            return None
         else:
-            ca, cb = self.comp_of_face[fa], self.comp_of_face[fb]
-            if ca == cb:
-                return None  # genus increase
-            facea, faceb = self.faces[fa], self.faces[fb]
+            facea, faceb = faces.pop(fa), faces.pop(fb)
+            del comp_of_face[fa], comp_of_face[fb]
             ia, ib = facea.index(a), faceb.index(b)
-            merged = (
-                facea[ia + 1 :] + facea[:ia] + faceb[ib + 1 :] + faceb[:ib]
-            )
-            for fid in (fa, fb):
-                del self.faces[fid]
-                del self.comp_of_face[fid]
-            # relabel cb's other faces into ca
-            relabeled = [fid for fid, c in self.comp_of_face.items() if c == cb]
+            parts = (facea[ia + 1 :] + facea[:ia] + faceb[ib + 1 :] + faceb[:ib],)
+            removed = ((fa, facea, ca), (fb, faceb, cb))
+            relabeled = [fid for fid, c in comp_of_face.items() if c == cb]
             for fid in relabeled:
-                self.comp_of_face[fid] = ca
-            new = []
-            if merged:
-                new.append(self._new_face(merged, ca))
-            token = ("merge", a, b, fa, facea, ca, fb, faceb, cb, relabeled, new)
+                comp_of_face[fid] = ca
+        new = []
+        for part in parts:
+            if part:
+                fid = self.next_face
+                self.next_face = fid + 1
+                faces[fid] = part
+                comp_of_face[fid] = ca
+                for d in part:
+                    face_of[d] = fid
+                new.append(fid)
         self.alpha[a] = b
         self.alpha[b] = a
-        sega, segb = self._seg_find(a), self._seg_find(b)
-        self.seg[sega] = segb
-        fresh_removed = []
-        for d in (a, b):
-            if d < 4 * self.n and d // 4 in self.fresh:
-                self.fresh.discard(d // 4)
-                fresh_removed.append(d // 4)
-        return (token, (sega, segb), fresh_removed)
+        seg = self._seg_find(a)
+        self.seg[seg] = self._seg_find(b)
+        gone = self.fresh & {a // 4, b // 4}
+        self.fresh -= gone
+        return (a, b, seg, removed, relabeled, cb, new, gone)
 
     def unglue(self, undo) -> None:
-        token, (sega, segb), fresh_removed = undo
-        for c in fresh_removed:
-            self.fresh.add(c)
-        self.seg[sega] = sega
-        a, b = token[1], token[2]
-        self.alpha[a] = -1
-        self.alpha[b] = -1
-        if token[0] == "split":
-            _, a, b, fa, face, comp, new = token
-            for fid in new:
-                del self.comp_of_face[fid]
-                del self.faces[fid]
-            self.faces[fa] = face
-            self.comp_of_face[fa] = comp
+        a, b, seg, removed, relabeled, cb, new, gone = undo
+        faces, face_of, comp_of_face = self.faces, self.face_of, self.comp_of_face
+        self.fresh |= gone
+        self.seg[seg] = seg
+        self.alpha[a] = self.alpha[b] = -1
+        for fid in new:
+            del comp_of_face[fid]
+            del faces[fid]
+        for fid in relabeled:
+            comp_of_face[fid] = cb
+        for fid, face, comp in removed:
+            faces[fid] = face
+            comp_of_face[fid] = comp
             for d in face:
-                self.face_of[d] = fa
-        else:
-            _, a, b, fa, facea, ca, fb, faceb, cb, relabeled, new = token
-            for fid in new:
-                del self.comp_of_face[fid]
-                del self.faces[fid]
-            for fid in relabeled:
-                self.comp_of_face[fid] = cb
-            self.faces[fa] = facea
-            self.comp_of_face[fa] = ca
-            for d in facea:
-                self.face_of[d] = fa
-            self.faces[fb] = faceb
-            self.comp_of_face[fb] = cb
-            for d in faceb:
-                self.face_of[d] = fb
+                face_of[d] = fid
+
 
 def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
     """Yield completed alpha tuples of planar loop-free shadows.
+
+    One generator frame walks the tree with an explicit stack: `frames`
+    holds (candidates, pivot, cursor) for every open node and `undos` the
+    glue of every edge on the current path.  The pivot is the lowest
+    unmatched dart in a fixed order (endpoints first), found by a cursor
+    that only moves forward below a node and is restored on backtrack.
 
     `shard=(jobs, worker)` searches only this worker's subtrees: the nodes
     at depth SHARD_DEPTH are numbered in search order and node i belongs to
@@ -227,42 +195,100 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
     """
     jobs, worker = shard or (1, 0)
     state = _Gluing(n, k)
-    at_depth = count()
-
-    def rec(depth):
-        if depth == SHARD_DEPTH and next(at_depth) % jobs != worker:
-            return
-        d0 = state.pivot()
-        if d0 is None:
-            if depth >= SHARD_DEPTH or worker == 0:
-                yield tuple(state.alpha)
-            return
-        for b in state.candidates(d0):
-            undo = state.glue(d0, b)
-            if undo is None:
+    alpha, glue, unglue = state.alpha, state.glue, state.unglue
+    order = [4 * n + j for j in range(k)] + list(range(4 * n))
+    nd = len(order)
+    frames: list = []
+    undos: list = []
+    at_depth = pos = depth = 0
+    while True:
+        # at a new node, `depth` (= len(undos)) glued edges below the root
+        if depth != SHARD_DEPTH or at_depth % jobs == worker:
+            while pos < nd and alpha[order[pos]] >= 0:
+                pos += 1
+            if pos == nd:
+                if depth >= SHARD_DEPTH or worker == 0:
+                    yield tuple(alpha)
+            else:
+                frames.append((iter(state.candidates(order[pos])), order[pos], pos))
+        if depth == SHARD_DEPTH:
+            at_depth += 1
+        # descend to the next child of the deepest open node with one left
+        while frames:
+            cands, d0, pos = frames[-1]
+            if depth == len(frames):
+                unglue(undos.pop())
+                depth -= 1
+            for b in cands:
+                undo = glue(d0, b)
+                if undo is not None:
+                    undos.append(undo)
+                    depth += 1
+                    break
+            else:
+                frames.pop()
                 continue
-            yield from rec(depth + 1)
-            state.unglue(undo)
+            break
+        else:
+            return
 
-    yield from rec(0)
+
+_LABELS = ("a", "b", "c", "d", "e", "f")
 
 
 def _strings_of(alpha: tuple[int, ...], n: int, k: int) -> tuple:
-    probe = TangleDiagram(n, k, alpha)
-    labels = ("a", "b", "c", "d", "e", "f")
+    """(label, first endpoint) of each string, labelled in endpoint order.
+
+    Each string is walked to its far endpoint over alpha; closed loops are
+    not looked at (`components` rejects a diagram that has one).
+    """
+    base = 4 * n
     strings = []
-    seen = set()
     for j in range(k):
-        if j in seen:
-            continue
-        darts, closed = probe._trace_from(probe.ep_dart(j))
-        if closed:
-            return ()
-        other = alpha[darts[-1]] - 4 * n
-        seen.add(j)
-        seen.add(other)
-        strings.append((labels[len(strings)], j))
+        d = base + j
+        while (t := alpha[d]) < base:
+            d = t ^ 2
+        if t - base > j:
+            strings.append((_LABELS[len(strings)], j))
     return tuple(strings)
+
+
+def _strand_map(alpha: tuple[int, ...], n: int, k: int) -> list[int] | None:
+    """Strand index of every dart, strands numbered by first endpoint.
+
+    Walks each string from its endpoint over alpha (the transit at a
+    crossing is `d ^ 2`).  None when some dart lies on a closed loop.
+    """
+    base = 4 * n
+    owner = [-1] * (base + k)
+    s = 0
+    for e in range(base, base + k):
+        if owner[e] >= 0:
+            continue
+        d = e
+        while True:
+            owner[d] = s
+            t = alpha[d]
+            owner[t] = s
+            if t >= base:
+                break
+            d = t ^ 2
+        s += 1
+    return None if -1 in owner else owner
+
+
+def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
+    """The weak-string test on a shadow's strand map (see classify_level)."""
+    owner = _strand_map(alpha, n, 6)
+    if owner is None:
+        raise TangleError("shadow has a closed loop")
+    meets = [0, 0, 0]
+    for c in range(0, 4 * n, 4):
+        under, over = owner[c], owner[c + 1]
+        if under != over:
+            meets[under] += 1
+            meets[over] += 1
+    return any(m <= 1 for m in meets)
 
 
 def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
@@ -279,21 +305,19 @@ def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
         yield tuple(new_alpha)
 
 
-def _shadows(n: int, extended: bool, shard: tuple[int, int] | None):
-    """Stream the n-crossing shadows as diagrams carrying their strings.
-
-    A shadow's alpha is its variant with every crossing as the search
-    placed it.  Tracing its components (as the weak-string test does)
-    checks that the strings cover every dart.
-    """
+def _level_alphas(n: int, extended: bool, shard: tuple[int, int] | None):
+    """The n-crossing shadows' alphas, each as the search placed it."""
     if n < 0 or n > HARD_CAP:
         raise BudgetExceeded(f"crossing count {n} outside 0..{HARD_CAP}")
     if n > GATE_CAP and not extended:
         raise BudgetExceeded(
             f"n={n} beyond the desk-scale gate {GATE_CAP}; pass extended=True"
         )
-    for alpha in _shadow_search(n, 6, shard):
-        yield TangleDiagram(n, 6, alpha, _strings_of(alpha, n, 6))
+    return _shadow_search(n, 6, shard)
+
+
+def _shadow(alpha: tuple[int, ...], n: int) -> TangleDiagram:
+    return TangleDiagram(n, 6, alpha, _strings_of(alpha, n, 6))
 
 
 def _variants(shadow: TangleDiagram):
@@ -328,8 +352,8 @@ def generate_diagrams(
     _shadow_search); the shares partition the diagrams exactly, so
     per-level reports merge by addition.
     """
-    for shadow in _shadows(n, extended, shard):
-        yield from _variants(shadow)
+    for alpha in _level_alphas(n, extended, shard):
+        yield from _variants(_shadow(alpha, n))
 
 
 def naive_generate(n: int):
@@ -575,22 +599,28 @@ def classify_level(
 ) -> EnumerationReport:
     """Classify every n-crossing diagram, one weak-string test per shadow.
 
-    Lemma: the weak-string verdict is the same for all 2^n over/under
-    variants of a shadow.  A variant turns some crossings a quarter turn,
-    which swaps the strands in the under slots with those in the over
-    slots but keeps the unordered pair of strands meeting there.
-    `_has_weak_string` only counts, per string, the crossings where it
-    meets another string, so its counts, and its verdict, agree on every
-    variant.  A shadow with a weak string therefore adds 2^n split
-    diagrams; the variants of the others go through `classify` one by one.
+    The test runs on the shadow's strand map (`_strand_map`: the strand
+    through each dart).  A crossing's strands are those of its slot-0 and
+    slot-1 darts; a string is weak when at most one crossing has it on one
+    side and another strand on the other.
+
+    Lemma: that verdict is the same for all 2^n over/under variants of a
+    shadow.  A variant turns some crossings a quarter turn, which swaps the
+    strands in the under slots with those in the over slots but keeps the
+    unordered pair of strands meeting there, so the per-string counts, and
+    the verdict, agree on every variant (and with `_has_weak_string` on
+    each).  A shadow with a weak string therefore adds 2^n split diagrams;
+    only the others become diagrams, whose variants go through `classify`
+    one by one.  A shadow with a closed loop raises TangleError, as
+    tracing its components would.
     """
     report = EnumerationReport(n)
-    for shadow in _shadows(n, extended, shard):
-        if _has_weak_string(shadow):
+    for alpha in _level_alphas(n, extended, shard):
+        if _shadow_split(alpha, n):
             report.total += 1 << n
             report.split += 1 << n
             continue
-        for d in _variants(shadow):
+        for d in _variants(_shadow(alpha, n)):
             report.total += 1
             verdict = classify(d)
             if verdict == "unresolved":

@@ -149,48 +149,35 @@ class TangleDiagram:
 
     # -- faces and planarity -----------------------------------------------
 
-    def _gap_right(self, j: int) -> int:
-        return self.num_darts + 2 * j
-
-    def _gap_left(self, j: int) -> int:
-        return self.num_darts + 2 * j + 1
-
-    def _aug_alpha(self, d: int) -> int:
-        if d < self.num_darts:
-            return self.alpha[d]
-        r = d - self.num_darts
-        j, kind = divmod(r, 2)
-        if kind == 0:  # gap-right at j pairs with gap-left at j+1
-            return self.num_darts + 2 * ((j + 1) % self.k) + 1
-        return self.num_darts + 2 * ((j - 1) % self.k)
-
-    def _aug_sigma(self, d: int) -> int:
-        """Next dart counterclockwise at the node of d."""
-        if d < 4 * self.n:
-            return (d - d % 4) + (d % 4 + 1) % 4
-        if d < self.num_darts:  # endpoint strand dart -> gap-left
-            return self._gap_left(d - 4 * self.n)
-        r = d - self.num_darts
-        j, kind = divmod(r, 2)
-        if kind == 1:  # gap-left -> gap-right
-            return self._gap_right(j)
-        return self.ep_dart(j)  # gap-right -> strand dart
-
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Faces as cyclic out-dart sequences (virtual gap darts included)."""
-        total = self.num_darts + (2 * self.k if self.k else 0)
-        seen: set[int] = set()
+        """Faces as cyclic out-dart sequences (virtual gap darts included).
+
+        The gap darts at endpoint j are num_darts + 2j (along the circle
+        toward endpoint j+1) and num_darts + 2j + 1 (toward endpoint j-1).
+        `succ` is the face successor sigma(alpha(d)) on the augmented map;
+        sigma turns counterclockwise at a crossing and, at endpoint j, goes
+        strand dart -> toward j-1 -> toward j+1 -> strand dart.
+        """
+        n4, nd, k = 4 * self.n, self.num_darts, self.k
+        succ = [
+            (t & ~3) | ((t + 1) & 3) if t < n4 else nd + 2 * (t - n4) + 1
+            for t in self.alpha
+        ]
+        for j in range(k):
+            succ.append(nd + 2 * ((j + 1) % k))
+            succ.append(n4 + (j - 1) % k)
+        seen = bytearray(len(succ))
         out: list[tuple[int, ...]] = []
-        for start in range(total):
-            if start in seen:
+        for start in range(len(succ)):
+            if seen[start]:
                 continue
             face = []
             d = start
-            while d not in seen:
-                seen.add(d)
+            while not seen[d]:
+                seen[d] = 1
                 face.append(d)
-                d = self._aug_sigma(self._aug_alpha(d))
+                d = succ[d]
             out.append(tuple(face))
         return tuple(out)
 
@@ -202,28 +189,29 @@ class TangleDiagram:
                 owner[d] = i
         return owner
 
-    def _connected_components(self) -> int:
-        parent = list(range(self.n + self.k))
+    def _pieces(self) -> list[list[int]]:
+        """Darts of each connected piece, the boundary's piece first.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        def node_of(d: int) -> int:
-            return d // 4 if d < 4 * self.n else self.n + (d - 4 * self.n)
-
-        for d in range(self.num_darts):
-            union(node_of(d), node_of(self.alpha[d]))
-        for j in range(self.k):
-            union(self.n + j, self.n + (j + 1) % self.k)
-        return len({find(x) for x in range(self.n + self.k)}) if self.n + self.k else 0
+        The boundary circle joins every endpoint into one piece.
+        """
+        n4 = 4 * self.n
+        seen = bytearray(self.num_darts)
+        starts = [list(range(n4, self.num_darts))] if self.k else []
+        out = []
+        for stack in starts + [[d] for d in range(n4)]:
+            if seen[stack[0]]:
+                continue
+            piece = []
+            while stack:
+                x = stack.pop()
+                if not seen[x]:
+                    seen[x] = 1
+                    piece.append(x)
+                    stack.append(self.alpha[x])
+                    if x < n4:
+                        stack.extend(range(x & ~3, (x | 3) + 1))
+            out.append(piece)
+        return out
 
     def validate(self) -> "TangleDiagram":
         """Checks the involution and the genus-0 Euler identity."""
@@ -236,7 +224,7 @@ class TangleDiagram:
         if verts == 0:
             return self
         edges = self.num_darts // 2 + (self.k if self.k else 0)
-        comps = self._connected_components()
+        comps = len(self._pieces())
         euler = verts - edges + len(self.faces)
         if euler != 2 * comps:
             raise NonPlanarCode(
@@ -264,12 +252,31 @@ class TangleDiagram:
     # -- canonical code ------------------------------------------------------
 
     def _code_from(self, start: int, shadow: bool) -> tuple:
-        """Deterministic BFS code of the connected piece containing `start`."""
+        """Deterministic BFS code of the connected piece containing `start`.
+
+        Crossings are numbered as they are met, each with its rotation fixed
+        by the slot it is met in: a start on a crossing meets that crossing
+        first, with a token for the start's own slot.
+        """
         xid: dict[int, int] = {}
         xrot: dict[int, int] = {}
         tokens: list = []
         queue = [start]
         queued = {start}
+
+        def meet(t: int) -> None:
+            c, s = divmod(t, 4)
+            xid[c] = len(xid)
+            xrot[c] = s if shadow else s - s % 2
+            for i in range(1, 4):
+                nd = 4 * c + (s + i) % 4
+                if nd not in queued:
+                    queued.add(nd)
+                    queue.append(nd)
+
+        if not self.is_ep_dart(start):
+            meet(start)
+            tokens.append(("x", 0, (start - xrot[start // 4]) % 4))
         while queue:
             d = queue.pop(0)
             t = self.alpha[d]
@@ -277,74 +284,30 @@ class TangleDiagram:
                 tokens.append(("e", t - 4 * self.n))
                 continue
             c = t // 4
-            s = t % 4
             if c not in xid:
-                xid[c] = len(xid)
-                xrot[c] = s if shadow else s - s % 2
-                for i in range(1, 4):
-                    nd = 4 * c + (s + i) % 4
-                    if nd not in queued:
-                        queued.add(nd)
-                        queue.append(nd)
-            rel = (s - xrot[c]) % 4
-            tokens.append(("x", xid[c], rel))
+                meet(t)
+            tokens.append(("x", xid[c], (t - xrot[c]) % 4))
         return tuple(tokens)
 
     def canonical_code(self, shadow: bool = False) -> tuple:
         """Complete invariant under isomorphisms fixing the boundary order.
 
         With shadow=True the over/under split is quotiented out (used for
-        crossing-projection dedup).
+        crossing-projection dedup).  The boundary's piece is coded from
+        each endpoint; every other piece by its least code over start darts.
         """
-        pieces: list[tuple] = []
-        covered: set[int] = set()
-
-        def mark(start: int) -> None:
-            stack = [start]
-            while stack:
-                d = stack.pop()
-                if d in covered:
-                    continue
-                covered.add(d)
-                t = self.alpha[d]
-                stack.append(t)
-                if not self.is_ep_dart(t):
-                    c = t // 4
-                    stack.extend(4 * c + i for i in range(4))
-                if not self.is_ep_dart(d):
-                    c = d // 4
-                    stack.extend(4 * c + i for i in range(4))
-
+        pieces = self._pieces()
+        out: list[tuple] = []
         if self.k:
             code = tuple(
                 self._code_from(self.ep_dart(j), shadow) for j in range(self.k)
             )
-            pieces.append(("b", code))
-            for j in range(self.k):
-                mark(self.ep_dart(j))
-        rest: list[tuple] = []
-        for d in range(4 * self.n):
-            if d not in covered:
-                # minimize over starting darts of this piece
-                piece_darts = []
-                stack = [d]
-                local: set[int] = set()
-                while stack:
-                    x = stack.pop()
-                    if x in local:
-                        continue
-                    local.add(x)
-                    c = x // 4
-                    stack.extend(4 * c + i for i in range(4))
-                    stack.append(self.alpha[x])
-                piece_darts = sorted(local)
-                best = min(self._code_from(s, shadow) for s in piece_darts)
-                rest.append(best)
-                covered.update(local)
-        rest.sort()
-        pieces.extend(("p", r) for r in rest)
-        pieces.append(("o", len(self.free_loops)))
-        return (self.n, self.k, tuple(pieces))
+            out.append(("b", code))
+            pieces = pieces[1:]
+        rest = sorted(min(self._code_from(s, shadow) for s in p) for p in pieces)
+        out.extend(("p", r) for r in rest)
+        out.append(("o", len(self.free_loops)))
+        return (self.n, self.k, tuple(out))
 
 
 class Wiring:

@@ -6,7 +6,8 @@ Format (UTF-8, LF line endings, `#` comments):
     X a b c d     one line per crossing: arc ids counterclockwise,
                   starting from the incoming under-arc
     B p1 ... p2k  arc ids met at the boundary, circular order
-    S lbl: a1,a2,...  arcs of each component in traversal order
+    S lbl: a1,a2,...  arcs of each component in traversal order; labels
+                      are distinct
 
 Arc ids are arbitrary positive integers; every arc has exactly two
 incidences among the X and B lines, except a crossing-free closed loop,
@@ -96,7 +97,10 @@ def parse_pd(text: str) -> TangleDiagram:
                 raise PDSyntaxError("non-integer arc id", ln)
             if not ids:
                 raise PDSyntaxError("empty S line", ln)
-            s_rows.append((ln, label.strip(), ids))
+            label = label.strip()
+            if any(row[1] == label for row in s_rows):
+                raise PDSyntaxError(f"duplicate S label {label!r}", ln)
+            s_rows.append((ln, label, ids))
         else:
             raise PDSyntaxError(f"unknown record {tag!r}", ln)
     if header is None:

@@ -2,15 +2,21 @@
 
 import random
 from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.census import (
+    SHARD_DEPTH,
+    _Gluing,
     _has_weak_string,
     _over_under_variants,
     _shadow_search,
+    _shadow_split,
+    _strand_map,
+    _strings_of,
     classify,
     classify_level,
     generate_diagrams,
@@ -22,7 +28,7 @@ from tanglekit.census import (
 )
 from tanglekit.diagram import TangleDiagram, simplify
 from tanglekit.diagram.rewrite import apply_r2_add
-from tanglekit.errors import BudgetExceeded
+from tanglekit.errors import BudgetExceeded, TangleError
 from tanglekit.experiments import build_standard
 
 
@@ -43,6 +49,65 @@ def _noncrossing_matchings(k):
         return total
 
     return rec(pts)
+
+
+def _recursive_shadow_search(n, k=6, shard=None):
+    """The shadow search as first written, one generator frame per level;
+    kept as an oracle for the explicit-stack search."""
+    jobs, worker = shard or (1, 0)
+    state = _Gluing(n, k)
+    at_depth = count()
+
+    def rec(depth):
+        if depth == SHARD_DEPTH and next(at_depth) % jobs != worker:
+            return
+        d0 = state.pivot()
+        if d0 is None:
+            if depth >= SHARD_DEPTH or worker == 0:
+                yield tuple(state.alpha)
+            return
+        for b in state.candidates(d0):
+            undo = state.glue(d0, b)
+            if undo is None:
+                continue
+            yield from rec(depth + 1)
+            state.unglue(undo)
+
+    yield from rec(0)
+
+
+def _probe_strings_of(alpha, n, k):
+    """`_strings_of` as first written, tracing through a probe diagram."""
+    probe = TangleDiagram(n, k, alpha)
+    strings = []
+    seen = set()
+    for j in range(k):
+        if j in seen:
+            continue
+        darts, closed = probe._trace_from(probe.ep_dart(j))
+        if closed:
+            return ()
+        seen.update((j, alpha[darts[-1]] - 4 * n))
+        strings.append(("abcdef"[len(strings)], j))
+    return tuple(strings)
+
+
+def _all_matchings(nd):
+    """Every perfect matching of nd darts, as alpha tuples."""
+    alpha = [-1] * nd
+
+    def rec():
+        if -1 not in alpha:
+            yield tuple(alpha)
+            return
+        d0 = alpha.index(-1)
+        for b in range(d0 + 1, nd):
+            if alpha[b] < 0:
+                alpha[d0], alpha[b] = b, d0
+                yield from rec()
+                alpha[d0] = alpha[b] = -1
+
+    return rec()
 
 
 class TestGenerator:
@@ -103,6 +168,24 @@ class TestGenerator:
                     merged = merged.merge(classify_level(n, shard=(jobs, w)))
                 assert merged.as_dict() == full.as_dict()
 
+    def test_search_matches_recursive_oracle(self):
+        # same leaves in the same order, serial and in every shard
+        for n in range(5):
+            for shard in (None, (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+                assert list(_shadow_search(n, shard=shard)) == list(
+                    _recursive_shadow_search(n, shard=shard)
+                )
+
+    def test_strings_of_matches_probe_oracle(self):
+        # every matching, including those that close a loop or leave
+        # endpoints paired with each other
+        looped = 0
+        for n in range(3):
+            for alpha in _all_matchings(4 * n + 6):
+                assert _strings_of(alpha, n, 6) == _probe_strings_of(alpha, n, 6)
+                looped += _strand_map(alpha, n, 6) is None
+        assert looped > 0
+
     def test_shards_partition_the_shadows(self):
         for n in range(4):
             full = list(_shadow_search(n))
@@ -147,6 +230,22 @@ class TestShadowVerdict:
             for alpha in _over_under_variants(shadow.alpha, n, 6)
         }
         assert len(verdicts) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_strand_map_verdict_matches_weak_string(self, seed, n):
+        d = random_diagram(random.Random(seed), n)
+        assert _shadow_split(d.alpha, n) == _has_weak_string(d)
+        owner = _strand_map(d.alpha, n, 6)
+        for i, comp in enumerate(d.components):
+            assert {owner[x] for x in comp.out_darts} == {i}
+
+    def test_closed_loop_shadow_rejected(self):
+        # crossing 0's under-strand closes on itself: darts 0 and 2 mated
+        alpha = (2, 4, 0, 5, 1, 3, 7, 6, 9, 8)
+        assert _strand_map(alpha, 1, 6) is None
+        with pytest.raises(TangleError):
+            _shadow_split(alpha, 1)
 
     def test_level_matches_per_variant_tally(self):
         # oracle: the full classify on every diagram, no per-shadow shortcut

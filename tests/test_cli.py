@@ -65,6 +65,14 @@ class TestPipelines:
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "torus2" and data["torus_p"] == 3
 
+    def test_duplicate_pd_label_fails(self, tmp_path, capsys):
+        pd = tmp_path / "dup.pd"
+        pd.write_text("tangle k=0 n=0\nS a: 1\nS a: 2\n")
+        assert main(["identify", "--pd", str(pd)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate S label 'a' (line 3)\n"
+
     def test_lk(self, tmp_path, capsys):
         from tanglekit.diagram import close_with_x_arcs, emit_pd
         from tanglekit.experiments import pjh_tangle

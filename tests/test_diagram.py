@@ -69,6 +69,94 @@ class TestCore:
         assert d2.canonical_code() == d.canonical_code()
 
 
+    def test_canonical_code_separates_start_crossing(self):
+        # two closed diagrams that differ in one pair of arcs and have
+        # different brackets; coded from a crossing dart without its own
+        # crossing, they used to get equal codes
+        a = (9, 16, 22, 8, 23, 20, 7, 6, 3, 0, 11, 10, 18, 14, 13, 19, 1, 21, 12, 15, 5, 17, 2, 4)
+        b = (9, 18, 22, 8, 23, 20, 7, 6, 3, 0, 11, 10, 16, 14, 13, 19, 12, 21, 1, 15, 5, 17, 2, 4)
+        da, db = (
+            TangleDiagram(6, 0, alpha, (), (("l", 0),), ("o",)).validate() for alpha in (a, b)
+        )
+        assert bracket_state_sum(da) != bracket_state_sum(db)
+        assert da.canonical_code() != db.canonical_code()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.integers(0, 2**32 - 1))
+    def test_closed_code_stable_under_relabel(self, seed, n, relabel):
+        # renumber the crossings and turn each by two slots (or by any
+        # number of slots for the shadow code)
+        d = _random_closed_diagram(seed, n, "x_arcs", 1, 1)
+        rng = random.Random(relabel)
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        turns = [rng.randrange(4) for _ in range(d.n)]
+        for shadow in (False, True):
+            remap = [
+                4 * perm[x // 4] + (x + (t if shadow else t - t % 2)) % 4
+                for x in range(d.num_darts)
+                for t in [turns[x // 4]]
+            ]
+            alpha = [0] * d.num_darts
+            for x, y in enumerate(d.alpha):
+                alpha[remap[x]] = remap[y]
+            d2 = TangleDiagram(d.n, 0, tuple(alpha), (), (), d.free_loops)
+            assert d2.canonical_code(shadow) == d.canonical_code(shadow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.sampled_from([4, 6, 0]),
+        st.integers(0, 2),
+    )
+    def test_faces_match_method_tracer(self, seed, n, k, free):
+        if k:
+            d = random_diagram(random.Random(seed), n, k=k)
+            d = TangleDiagram(
+                d.n, d.k, d.alpha, d.strings, (), tuple(f"f{i}" for i in range(free))
+            )
+        else:
+            d = _random_closed_diagram(seed, n, "numerator", 2, free)
+        assert d.faces == _method_faces(d)
+
+
+def _method_faces(d):
+    """Faces traced through per-dart sigma and alpha functions on the
+    augmented map, as first written; kept as an oracle for `faces`."""
+    nd = d.num_darts
+
+    def aug_alpha(x):
+        if x < nd:
+            return d.alpha[x]
+        j, kind = divmod(x - nd, 2)
+        if kind == 0:  # gap-right at j pairs with gap-left at j+1
+            return nd + 2 * ((j + 1) % d.k) + 1
+        return nd + 2 * ((j - 1) % d.k)
+
+    def aug_sigma(x):
+        if x < 4 * d.n:
+            return (x - x % 4) + (x % 4 + 1) % 4
+        if x < nd:  # endpoint strand dart -> gap-left
+            return nd + 2 * (x - 4 * d.n) + 1
+        j, kind = divmod(x - nd, 2)
+        return nd + 2 * j if kind == 1 else d.ep_dart(j)
+
+    seen = set()
+    out = []
+    for start in range(nd + 2 * d.k):
+        if start in seen:
+            continue
+        face = []
+        x = start
+        while x not in seen:
+            seen.add(x)
+            face.append(x)
+            x = aug_sigma(aug_alpha(x))
+        out.append(tuple(face))
+    return tuple(out)
+
+
 class TestContinuedFraction:
     @pytest.mark.parametrize(
         "p,q", [(1, 3), (7, 3), (-1, 4), (5, 2), (-9, 7), (4, 1), (-3, 1), (0, 1)]

@@ -71,3 +71,8 @@ class TestErrors:
     def test_boundary_count_mismatch(self):
         with pytest.raises(PDSyntaxError):
             parse_pd("tangle k=2 n=0\nB 1 1\nS a: 1\n")
+
+    def test_duplicate_string_label(self):
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd("tangle k=0 n=0\nS a: 1\nS a: 2\n")
+        assert err.value.line == 3
