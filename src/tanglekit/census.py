@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .diagram.core import TangleDiagram
+from .diagram.core import TangleDiagram, switch_crossings
 from .diagram.pdcode import emit_pd
 from .diagram.rewrite import simplify
 from .errors import BudgetExceeded, TangleError
@@ -294,15 +294,7 @@ def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
 def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
     """All 2^n under-strand assignments of a shadow."""
     for bits in range(1 << n):
-        remap = list(range(4 * n + k))
-        for c in range(n):
-            if (bits >> c) & 1:
-                for s in range(4):
-                    remap[4 * c + s] = 4 * c + (s + 1) % 4
-        new_alpha = [0] * len(alpha)
-        for d, a in enumerate(alpha):
-            new_alpha[remap[d]] = remap[a]
-        yield tuple(new_alpha)
+        yield switch_crossings(alpha, [c for c in range(n) if (bits >> c) & 1])[0]
 
 
 def _level_alphas(n: int, extended: bool, shard: tuple[int, int] | None):

@@ -4,9 +4,9 @@ deduce, reduce.
 Every run writes a machine-readable report (JSON with sorted keys, so
 identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
-input file, malformed or wrongly shaped JSON, a config value that is not
-a JSON integer, an unknown fact atom and a bad TANGLEKIT_BUDGET), 3 budget
-exceeded.
+input file, malformed or non-planar PD text, malformed or wrongly shaped
+JSON, a config value that is not a JSON integer, an unknown fact atom and
+a bad TANGLEKIT_BUDGET), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -49,9 +49,14 @@ def _emit(data, out: str | None) -> None:
 
 def _read_pd(path: str | None):
     if path in (None, "-"):
-        return parse_pd(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_pd(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return parse_pd(text)
+    except TangleError as e:
+        raise UsageError(str(e)) from e
 
 
 def _cmd_solve(args) -> int:
@@ -130,13 +135,8 @@ def _cmd_enumerate(args) -> int:
                 )
             merged = census.EnumerationReport(n)
             for part in parts:
-                sub = census.EnumerationReport(n)
-                sub.total = part["total"]
-                sub.split = part["split"]
-                sub.parallel = part["parallel"]
-                sub.reducible = part["reducible"]
-                sub.unresolved = list(part["unresolved"])
-                merged = merged.merge(sub)
+                part.pop("holds")
+                merged = merged.merge(census.EnumerationReport(**part))
             reports.append(merged)
         else:
             reports.append(census.classify_level(n, extended=extended))

@@ -236,18 +236,10 @@ class TangleDiagram:
     # -- structural transforms ----------------------------------------------
 
     def mirror(self) -> "TangleDiagram":
-        """Switch every crossing (mirror image): rotate slot labels by one."""
-        remap = list(range(self.num_darts))
-        for c in range(self.n):
-            for s in range(4):
-                remap[4 * c + s] = 4 * c + (s + 1) % 4
-        new_alpha = [0] * self.num_darts
-        for d in range(self.num_darts):
-            new_alpha[remap[d]] = remap[self.alpha[d]]
+        """Switch every crossing (mirror image)."""
+        alpha, remap = switch_crossings(self.alpha, range(self.n))
         loops = tuple((lab, remap[a]) for lab, a in self.loops)
-        return TangleDiagram(
-            self.n, self.k, tuple(new_alpha), self.strings, loops, self.free_loops
-        )
+        return TangleDiagram(self.n, self.k, alpha, self.strings, loops, self.free_loops)
 
     # -- canonical code ------------------------------------------------------
 
@@ -310,12 +302,28 @@ class TangleDiagram:
         return (self.n, self.k, tuple(out))
 
 
+def switch_crossings(alpha: tuple[int, ...], crossings) -> tuple[tuple[int, ...], list[int]]:
+    """Switch the given crossings by turning their slot labels a quarter turn.
+
+    Returns the new alpha and the dart renumbering, old dart -> new dart.
+    """
+    remap = list(range(len(alpha)))
+    for c in crossings:
+        for s in range(4):
+            remap[4 * c + s] = 4 * c + (s + 1) % 4
+    new_alpha = [0] * len(alpha)
+    for d, a in enumerate(alpha):
+        new_alpha[remap[d]] = remap[a]
+    return tuple(new_alpha), remap
+
+
 class Wiring:
     """Mutable scratch structure for building and rewriting diagrams.
 
     Ports are ("x", cid, slot) or ("e", eid); `mate` is the pairing.
     `endpoints` keeps the circular boundary order; crossing ids are
-    renumbered on freeze in `order` order.
+    renumbered on freeze in `order` order.  Only `port` and `to_diagram`
+    translate between ids and dart numbers.
     """
 
     def __init__(self):
@@ -330,15 +338,34 @@ class Wiring:
         w.order = list(range(d.n))
         w.endpoints = list(range(d.k))
         w._next = d.n + d.k
-
-        def port(dart: int) -> tuple:
-            if d.is_ep_dart(dart):
-                return ("e", dart - 4 * d.n)
-            return ("x", dart // 4, dart % 4)
-
         for dart in range(d.num_darts):
-            w.mate[port(dart)] = port(d.alpha[dart])
+            w.mate[cls.port(d, dart)] = cls.port(d, d.alpha[dart])
         return w
+
+    @staticmethod
+    def port(d: TangleDiagram, dart: int) -> tuple:
+        """The port of `d`'s dart in the wiring `from_diagram(d)`."""
+        if d.is_ep_dart(dart):
+            return ("e", dart - 4 * d.n)
+        return ("x", dart // 4, dart % 4)
+
+    def surviving_loops(self, d: TangleDiagram, freed: list[str]) -> list[tuple[str, tuple]]:
+        """Anchor each loop of `d` at the first port of its traversal still wired.
+
+        `d` is the diagram this wiring was made from.  A loop with no port
+        left is appended to `freed`, unless a splice freed it already.
+        """
+        loops = []
+        for comp in d.components:
+            if not comp.closed or not comp.out_darts or comp.label in freed:
+                continue
+            ports = (self.port(d, dart) for dart in comp.out_darts)
+            anchor = next((p for p in ports if p in self.mate), None)
+            if anchor is None:
+                freed.append(comp.label)
+            else:
+                loops.append((comp.label, anchor))
+        return loops
 
     def new_crossing(self) -> int:
         cid = self._next
@@ -374,7 +401,11 @@ class Wiring:
         loops: tuple[tuple[str, tuple], ...] = (),
         free_loops: tuple[str, ...] = (),
     ) -> TangleDiagram:
-        """Freeze; `strings` use boundary positions, `loops` anchor ports."""
+        """Freeze; `strings` anchor at endpoint ids, `loops` at ports.
+
+        The only map from wiring ids to dart numbers: crossings are numbered
+        in `order` order, endpoints by position in `endpoints`.
+        """
         xindex = {cid: i for i, cid in enumerate(self.order)}
         eindex = {eid: i for i, eid in enumerate(self.endpoints)}
         n, k = len(self.order), len(self.endpoints)
@@ -387,5 +418,6 @@ class Wiring:
         alpha = [0] * (4 * n + k)
         for p, q in self.mate.items():
             alpha[dart(p)] = dart(q)
-        anchor_loops = tuple((lab, dart(p)) for lab, p in loops)
-        return TangleDiagram(n, k, tuple(alpha), tuple(strings), anchor_loops, tuple(free_loops))
+        strings = tuple((lab, eindex[eid]) for lab, eid in strings)
+        loops = tuple((lab, dart(p)) for lab, p in loops)
+        return TangleDiagram(n, k, tuple(alpha), strings, loops, tuple(free_loops))

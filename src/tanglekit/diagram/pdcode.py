@@ -6,8 +6,8 @@ Format (UTF-8, LF line endings, `#` comments):
     X a b c d     one line per crossing: arc ids counterclockwise,
                   starting from the incoming under-arc
     B p1 ... p2k  arc ids met at the boundary, circular order
-    S lbl: a1,a2,...  arcs of each component in traversal order; labels
-                      are distinct
+    S lbl: a1,a2,...  arcs of each component in traversal order from a1;
+                      labels are distinct, and no arc is in two S lines
 
 Arc ids are arbitrary positive integers; every arc has exactly two
 incidences among the X and B lines, except a crossing-free closed loop,
@@ -137,36 +137,38 @@ def parse_pd(text: str) -> TangleDiagram:
     if any(a is None for a in alpha):
         raise PDSyntaxError("incomplete wiring", 1)
 
-    # components from S lines
+    # components from S lines: each must list exactly the arcs met when
+    # tracing from its first arc, and no arc belongs to two of them
+    probe = TangleDiagram(n, k, tuple(alpha))
+    arc_of = {x: arc for arc, darts in incid.items() for x in darts}
+    claimed: set[int] = set()
     strings: list[tuple[str, int]] = []
     loops: list[tuple[str, int]] = []
     free_loops: list[str] = []
-    dart_by_arc_at_ep = {arc: 4 * n + j for j, arc in enumerate(boundary)}
     for ln, label, ids in s_rows:
+        shared = claimed.intersection(ids)
+        if shared:
+            raise PDSyntaxError(f"arc {min(shared)} appears in two S lines", ln)
+        claimed.update(ids)
         if len(ids) == 1 and ids[0] in free_arcs:
             free_loops.append(label)
             continue
-        first = ids[0]
-        darts = incid[first]
-        ep_darts = [x for x in darts if x >= 4 * n]
-        if ep_darts:
-            strings.append((label, ep_darts[0] - 4 * n))
+        darts = incid.get(ids[0], [])
+        ep_darts = [x for x in darts if probe.is_ep_dart(x)]
+        # a string starts at its endpoint; a loop at either end of its first
+        # arc, whichever traces the listed order
+        for start in ep_darts[:1] or darts:
+            traced, closed = probe._trace_from(start)
+            if [arc_of[x] for x in traced] == ids and (closed or ep_darts):
+                break
         else:
-            # closed loop: anchor on the first arc, oriented toward the
-            # second arc when there is one
-            anchor = darts[0]
-            if len(ids) > 1:
-                d0, d1 = darts
-                nxt_arc = ids[1]
-                probe = TangleDiagram(n, k, tuple(alpha))
-                for cand in (d0, d1):
-                    step = probe.alpha[cand]
-                    if step < 4 * n:
-                        out = probe.through(step)
-                        if out in incid.get(nxt_arc, ()):
-                            anchor = cand
-                            break
-            loops.append((label, anchor))
+            raise PDSyntaxError(
+                f"S line {label!r} does not list its component's arcs in traversal order", ln
+            )
+        if ep_darts:
+            strings.append((label, start - 4 * n))
+        else:
+            loops.append((label, start))
     diag = TangleDiagram(
         n, k, tuple(alpha), tuple(strings), tuple(loops), tuple(free_loops)
     )

@@ -32,12 +32,6 @@ from .core import TangleDiagram, Wiring
 # -- shared bookkeeping --------------------------------------------------------
 
 
-def _port_of(d: TangleDiagram, dart: int) -> tuple:
-    if d.is_ep_dart(dart):
-        return ("e", dart - 4 * d.n)
-    return ("x", dart // 4, dart % 4)
-
-
 def _transit(c: int, s: int) -> tuple[tuple, tuple]:
     """The two ports of the strand transit through slot s of crossing c."""
     return ("x", c, s % 4), ("x", c, (s + 2) % 4)
@@ -60,43 +54,16 @@ def _finish(
     """Freeze and validate a rewired diagram, re-anchoring labels.
 
     `string_anchor` maps labels to endpoint ids when the move touched the
-    boundary; otherwise old anchors are reused.  Loop anchors are moved to
-    the first surviving crossing port of the old traversal.
+    boundary; otherwise old anchors are reused.  Strings are listed in
+    boundary order.  Loop anchors move to the first surviving port of the
+    old traversal.
     """
-    posmap = {eid: i for i, eid in enumerate(w.endpoints)}
-    surviving = set(w.order)
     if string_anchor is None:
         string_anchor = {lab: ep for lab, ep in d.strings}
-    strings = tuple(
-        (lab, posmap[eid]) for lab, eid in string_anchor.items() if lab not in free_labels
-    )
-    xindex = {cid: i for i, cid in enumerate(w.order)}
-    loops: list[tuple[str, int]] = []
-    for comp in d.components:
-        if not comp.closed or not comp.out_darts:
-            continue
-        if comp.label in free_labels:
-            continue
-        anchor = None
-        for dart in comp.out_darts:
-            if not d.is_ep_dart(dart) and dart // 4 in surviving:
-                port = ("x", dart // 4, dart % 4)
-                if port in w.mate:
-                    anchor = 4 * xindex[dart // 4] + dart % 4
-                    break
-        if anchor is None:
-            free_labels.append(comp.label)
-        else:
-            loops.append((comp.label, anchor))
-    raw = w.to_diagram()
-    return TangleDiagram(
-        raw.n,
-        raw.k,
-        raw.alpha,
-        tuple(sorted(strings, key=lambda t: t[1])),
-        tuple(loops),
-        d.free_loops + tuple(free_labels),
-    ).validate()
+    label_at = {eid: lab for lab, eid in string_anchor.items()}
+    strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
+    loops = w.surviving_loops(d, free_labels)
+    return w.to_diagram(strings, loops, d.free_loops + tuple(free_labels)).validate()
 
 
 # -- reduction moves -----------------------------------------------------------
@@ -177,14 +144,11 @@ def apply_untwist(d: TangleDiagram, match: tuple) -> TangleDiagram:
         w.connect(x_cont, ("e", ep_b))
         w.connect(y_cont, ("e", new_id))
     anchors: dict[str, int] = {}
-    ep_label = {}
     for comp in d.components:
         if comp.closed:
             continue
         start = comp.start_ep
         end = d.alpha[comp.out_darts[-1]] - 4 * d.n
-        ep_label[start] = comp.label
-        ep_label[end] = comp.label
         keep = [e for e in (start, end) if e not in (ep_a, ep_b)]
         anchors[comp.label] = keep[0] if keep else ep_b
     # strand of a now ends at b's spot, strand of b at the fresh spot
@@ -296,8 +260,8 @@ def simplify(d: TangleDiagram, mode: str = "rel_boundary") -> TangleDiagram:
 def apply_r1_add(d: TangleDiagram, out_dart: int, kind: int) -> TangleDiagram:
     """Insert a kink into the edge leaving along out_dart; kind in 0..3."""
     w = Wiring.from_diagram(d)
-    u = _port_of(d, out_dart)
-    v = _port_of(d, d.alpha[out_dart])
+    u = Wiring.port(d, out_dart)
+    v = Wiring.port(d, d.alpha[out_dart])
     c = w.new_crossing()
     w.connect(u, ("x", c, (kind + 2) % 4))
     w.connect(("x", c, kind), ("x", c, (kind + 1) % 4))
@@ -319,8 +283,8 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
         w = Wiring.from_diagram(d)
         cp = w.new_crossing()
         cq = w.new_crossing()
-        u1, v1 = _port_of(d, d1), _port_of(d, d.alpha[d1])
-        u2, v2 = _port_of(d, d2), _port_of(d, d.alpha[d2])
+        u1, v1 = Wiring.port(d, d1), Wiring.port(d, d.alpha[d1])
+        u2, v2 = Wiring.port(d, d2), Wiring.port(d, d.alpha[d2])
         if flip:
             u2, v2 = v2, u2
         w.connect(u1, ("x", cp, W))

@@ -55,7 +55,7 @@ class _Closer:
         self.w = Wiring.from_diagram(d)
         self.ep_label = _label_by_endpoint(d)
         self.groups: dict[str, set[str]] = {lab: {lab} for lab in {v for v in self.ep_label.values()}}
-        self.anchors: list[tuple[tuple, str]] = []  # (port, group rep)
+        self.anchors: list[tuple[str, tuple]] = []  # (label, port) per closure arc
         self.free: list[str] = []
 
     def _merge(self, la: str, lb: str) -> str:
@@ -74,16 +74,15 @@ class _Closer:
         if joined is None:  # the strand ran straight ea..eb: arc closes a circle
             self.free.append(la)
         elif joined[0][0] == "x":
-            self.anchors.append((joined[0], la))
+            self.anchors.append((la, joined[0]))
         self.w.endpoints.remove(ea)
         self.w.endpoints.remove(eb)
 
     def finish(self) -> TangleDiagram:
         if self.w.endpoints:
             raise TangleError("closure left open endpoints")
-        raw = self.w.to_diagram()
+        raw = self.w.to_diagram(loops=self.anchors)
         n_old = self.d.n
-        xindex = {cid: i for i, cid in enumerate(self.w.order)}
         loops: list[tuple[str, int]] = []
         free: list[str] = []
         covered: set[int] = set()
@@ -111,8 +110,7 @@ class _Closer:
             if anchor not in covered:
                 claim(anchor, lab)
         # each closure arc whose near side reached a crossing orients a loop
-        for port, _ in self.anchors:
-            dart = 4 * xindex[port[1]] + port[2]
+        for _, dart in raw.loops:
             if dart not in covered:
                 claim(dart, None)
         for dart in range(raw.num_darts):
@@ -153,24 +151,14 @@ def cap(d: TangleDiagram, i: int, merged_label: str | None = None) -> TangleDiag
     w.endpoints.remove(b)
     start = (b + 1) % 6
     w.endpoints.sort(key=lambda e: (e - start) % 6)
-    posmap = {e: idx for idx, e in enumerate(w.endpoints)}
-    strings: list[tuple[str, int]] = []
-    for lab, start_ep in d.strings:
-        if lab in (la, lb):
-            continue
-        strings.append((lab, posmap[start_ep]))
+    strings = [(lab, ep) for lab, ep in d.strings if lab not in (la, lb)]
     if la != lb:
         ends = [e for e, lab in labels.items() if lab in (la, lb) and e not in (a, b)]
-        strings.append((name, posmap[min(ends)]))
-    out = w.to_diagram(strings=tuple(strings))
-    real_loops = list(d.loops)
-    if la == lb and loop_anchor is not None:
-        xindex = {cid: i2 for i2, cid in enumerate(w.order)}
-        real_loops.append((name, 4 * xindex[loop_anchor[1]] + loop_anchor[2]))
-    return TangleDiagram(
-        out.n, out.k, out.alpha, out.strings, tuple(real_loops),
-        d.free_loops + tuple(free_extra),
-    ).validate()
+        strings.append((name, min(ends)))
+    loops = w.surviving_loops(d, free_extra)
+    if loop_anchor is not None:
+        loops.append((name, loop_anchor))
+    return w.to_diagram(strings, loops, d.free_loops + tuple(free_extra)).validate()
 
 
 def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
@@ -196,11 +184,7 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     # drop the removed string's leftover material
     material = set(comp.out_darts) | {d.alpha[x] for x in comp.out_darts}
     for dart in material:
-        if d.is_ep_dart(dart):
-            port = ("e", dart - 4 * d.n)
-        else:
-            port = ("x", dart // 4, dart % 4)
-        w.mate.pop(port, None)
+        w.mate.pop(Wiring.port(d, dart), None)
     eps = sorted(e for e in (comp.start_ep, d.alpha[comp.out_darts[-1]] - 4 * d.n))
     k = d.k
     p1, p2 = eps
@@ -213,24 +197,9 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     w.endpoints.remove(p1)
     w.endpoints.remove(p2)
     w.endpoints.sort(key=lambda e: (e - start) % k)
-    posmap = {e: i2 for i2, e in enumerate(w.endpoints)}
-    strings = tuple(
-        (lab, posmap[ep]) for lab, ep in d.strings if lab != label
-    )
-    out = w.to_diagram(strings=strings)
-    # loop anchors survive only if their crossing does; re-anchor
-    loops = []
-    xindex = {cid: i2 for i2, cid in enumerate(w.order)}
-    for lab, anchor in d.loops:
-        c, s = anchor // 4, anchor % 4
-        if c in xindex:
-            loops.append((lab, 4 * xindex[c] + s))
-        else:
-            free_extra.append(lab)  # loop lost all its crossings
-    return TangleDiagram(
-        out.n, out.k, out.alpha, out.strings, tuple(loops),
-        d.free_loops + tuple(free_extra),
-    ).validate()
+    strings = [(lab, ep) for lab, ep in d.strings if lab != label]
+    loops = w.surviving_loops(d, free_extra)
+    return w.to_diagram(strings, loops, d.free_loops + tuple(free_extra)).validate()
 
 
 def close_with(d: TangleDiagram, filler: TangleFraction) -> TangleDiagram:
@@ -295,7 +264,6 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
     labels = _label_by_endpoint(d)
     w = Wiring.from_diagram(d)
     twist_pair(w, ("e", a), ("e", b), n, V_POSITIVE_LEFT_UNDER)
-    out = w.to_diagram(strings=d.strings, loops=())
     # strand identities: trace from the endpoint of each string that is not
     # at the twisted pair (every 3-string tangle string has one)
     strings = []
@@ -303,9 +271,4 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
         ends = [e for e, l2 in labels.items() if l2 == lab]
         anchor = [e for e in ends if e not in (a, b)]
         strings.append((lab, min(anchor) if anchor else min(ends)))
-    xindex_loops = []
-    for lab, anchor in d.loops:
-        xindex_loops.append((lab, anchor))  # crossing ids 0..n-1 unchanged
-    return TangleDiagram(
-        out.n, out.k, out.alpha, tuple(strings), tuple(xindex_loops), d.free_loops
-    ).validate()
+    return w.to_diagram(strings, w.surviving_loops(d, []), d.free_loops).validate()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .diagram.build import trivial_tangle
 from .diagram.core import TangleDiagram
-from .diagram.identify import LinkId, identify_link, recover_fraction
+from .diagram.identify import LinkId, identify_link
 from .diagram.surgery import add_boundary_twists, cap, close_with, remove_string
 from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (

@@ -68,7 +68,7 @@ class TestPipelines:
     def test_duplicate_pd_label_fails(self, tmp_path, capsys):
         pd = tmp_path / "dup.pd"
         pd.write_text("tangle k=0 n=0\nS a: 1\nS a: 2\n")
-        assert main(["identify", "--pd", str(pd)]) == 1
+        assert main(["identify", "--pd", str(pd)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: duplicate S label 'a' (line 3)\n"
@@ -199,6 +199,8 @@ class TestBadInput:
             ["deduce", "--facts", "{number_atom}"],
             ["solve", "--config", "{fractional}"],
             ["solve", "--config", "{boolean}"],
+            ["identify", "--pd", "tests/fixtures/genus1.pd"],
+            ["reduce", "--pd", "{truncated}"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -217,8 +219,10 @@ class TestBadInput:
             "missing": str(tmp_path / "missing"),
             "directory": str(tmp_path),
             "binary": str(tmp_path / "binary"),
+            "truncated": str(tmp_path / "truncated.pd"),
         }
         (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        (tmp_path / "truncated.pd").write_text("tangle k=0 n=1\nX 1 2 1\n")
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
             paths[name] = str(tmp_path / f"{name}.json")

@@ -21,11 +21,13 @@ from tanglekit.diagram import (
     close_numerator,
     close_with,
     close_with_x_arcs,
+    emit_pd,
     fingerprint,
     horizontal_twists,
     identify_link,
     infinity_tangle,
     linking_number,
+    parse_pd,
     rational_tangle_diagram,
     recover_fraction,
     remove_string,
@@ -402,6 +404,55 @@ class TestRecoverFraction:
         assert recover_fraction(d) == reduce(-1, 3)
 
 
+# One closed component L, linked through s12 only.
+LOOP_TANGLE_PD = """tangle k=3 n=2
+X 1 5 2 4
+X 4 2 5 3
+B 1 3 6 6 7 7
+S s12: 1,2,3
+S L: 4,5
+S s23: 6
+S s31: 7
+"""
+
+# (out dart, kind) of the R1 kinks inflating it: on L, on s12, on s23
+LOOP_KINKS = ((), ((3, 0),), ((6, 1),), ((8, 2),), ((10, 3),), ((3, 1), (12, 2)))
+
+
+def loop_tangles():
+    """The loop tangle and its R1-inflated copies, keyed by their kinks."""
+    base = parse_pd(LOOP_TANGLE_PD)
+    out = {}
+    for kinks in LOOP_KINKS:
+        d = base
+        for dart, kind in kinks:
+            d = apply_r1_add(d, dart, kind)
+        out[str(list(kinks))] = d
+    return out
+
+
+def loop_surgery_outputs() -> dict[str, str]:
+    """emit_pd of every surgery and simplify on the loop tangles.
+
+    Removing s12, which frees L or takes its anchor crossing, is tested
+    on its own.
+    """
+    out = {}
+    for key, d in loop_tangles().items():
+        ops = {"xarcs": lambda d=d: close_with_x_arcs(d)}
+        for mode in ("rel_boundary", "free"):
+            ops[f"simplify {mode}"] = lambda d=d, m=mode: simplify(d, m)
+        for lab in ("s23", "s31"):
+            ops[f"remove {lab}"] = lambda d=d, lab=lab: remove_string(d, lab)
+        for i in (1, 2, 3):
+            ops[f"twists {i}"] = lambda d=d, i=i: add_boundary_twists(d, i, (1, -2, 3)[i - 1])
+            ops[f"cap {i}"] = lambda d=d, i=i: cap(d, i)
+            ops[f"cap {i} close 1/1"] = lambda d=d, i=i: close_with(cap(d, i), TangleFraction(1, 1))
+        for name, op in ops.items():
+            out[f"{key} {name}"] = emit_pd(op())
+    return out
+
+
 class TestSurgery:
     def test_cap_trivial(self):
         capped = cap(trivial_tangle(), 1)
@@ -440,6 +491,25 @@ class TestSurgery:
 
     def test_capped_trivial_is_infinity(self):
         assert recover_fraction(cap(trivial_tangle(), 3)) == TangleFraction(1, 0)
+
+    def test_remove_string_frees_loop_once(self):
+        d = remove_string(parse_pd(LOOP_TANGLE_PD), "s12")
+        assert d.free_loops == ("L",)
+        text = emit_pd(d)
+        assert emit_pd(parse_pd(text)) == text
+        assert str(identify_link(close_with(d, TangleFraction(0, 1)))) == "unlink(2)"
+
+    def test_remove_string_reanchors_loop(self):
+        # L's kink survives the removal of its anchor crossing with s12
+        d = remove_string(loop_tangles()["[(3, 0)]"], "s12")
+        assert (d.n, d.loops, d.free_loops) == (1, (("L", 0),), ())
+        assert str(identify_link(close_with(d, TangleFraction(0, 1)))) == "unlink(2)"
+
+    def test_loop_tangle_outputs_pinned(self):
+        with open("tests/fixtures/loop_tangle_surgery.txt", encoding="utf-8") as fh:
+            records = fh.read().split("## ")[1:]
+        pinned = dict(record.split("\n", 1) for record in records)
+        assert loop_surgery_outputs() == pinned
 
 
 class TestLinking:

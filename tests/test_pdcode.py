@@ -76,3 +76,34 @@ class TestErrors:
         with pytest.raises(PDSyntaxError) as err:
             parse_pd("tangle k=0 n=0\nS a: 1\nS a: 2\n")
         assert err.value.line == 3
+
+    def test_extra_string_on_claimed_arc(self):
+        text = emit_pd(trivial_tangle()) + "S extra: 1\n"
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd(text)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize(
+        "s_line",
+        [
+            "S s12: 1,99,7",  # unknown arc inside the list
+            "S s12: 1,2,3,4",  # stops short of the endpoint
+            "S s12: 1,3,2,4,5",  # out of order
+            "S s12: 1,2,3,4,5,5",  # repeated arc
+            "S s12: 2,3,4,5",  # open strand listed from a crossing
+            "S s12: 99,1,2,3,4,5",  # first arc unknown
+        ],
+    )
+    def test_s_line_must_match_trace(self, s_line):
+        with open("tests/fixtures/pjh.pd", encoding="utf-8") as fh:
+            text = fh.read().replace("S s12: 1,2,3,4,5", s_line)
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd(text)
+        assert err.value.line == 9
+
+    def test_loop_s_line_must_match_trace(self):
+        with open("tests/fixtures/figure_eight.pd", encoding="utf-8") as fh:
+            text = fh.read().replace("1,2,3,4,5,6,7,8", "1,2,3,4,5,6,8,7")
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd(text)
+        assert err.value.line == 6
