@@ -25,7 +25,7 @@ diagrams and are classified variant by variant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .diagram.core import TangleDiagram, switch_crossings
 from .diagram.pdcode import emit_pd
@@ -456,18 +456,12 @@ def _has_weak_string(d: TangleDiagram) -> bool:
     By the one-crossing lemma this certifies splitness in any projection,
     so it is a sound fast path before reduction too.
     """
-    counts: dict[int, int] = {}
-    for c in range(d.n):
-        under = d.component_of_dart[4 * c]
-        over = d.component_of_dart[4 * c + 1]
+    counts = [0] * len(d.components)
+    for under, over in d.crossing_strands:
         if under != over:
-            counts[under] = counts.get(under, 0) + 1
-            counts[over] = counts.get(over, 0) + 1
-    return any(
-        counts.get(i, 0) <= 1
-        for i, comp in enumerate(d.components)
-        if not comp.closed
-    )
+            counts[under] += 1
+            counts[over] += 1
+    return any(counts[i] <= 1 for i, comp in enumerate(d.components) if not comp.closed)
 
 
 def is_split(d: TangleDiagram) -> bool:
@@ -482,15 +476,12 @@ def _parallel_on_reduced(small: TangleDiagram) -> bool:
     open_comps = [c for c in small.components if not c.closed]
     if len(open_comps) < 2:
         return False
-    crossing_free = []
-    for comp in open_comps:
-        idx = small.components.index(comp)
-        touches = any(
-            idx in (small.component_of_dart[4 * c], small.component_of_dart[4 * c + 1])
-            for c in range(small.n)
-        )
-        if not touches:
-            crossing_free.append(comp.label)
+    touched = {i for pair in small.crossing_strands for i in pair}
+    crossing_free = [
+        comp.label
+        for i, comp in enumerate(small.components)
+        if not comp.closed and i not in touched
+    ]
     if len(crossing_free) >= 2:
         return True
     nd = small.num_darts
@@ -513,7 +504,7 @@ def _parallel_on_reduced(small: TangleDiagram) -> bool:
                 ok = False
                 break
             edges_seen.add(edge)
-            lab = small.components[small.component_of_dart[x]].label
+            lab = small.label_of(x)
             per_label[lab] = per_label.get(lab, 0) + 1
         if not ok or len(per_label) != 2:
             continue
@@ -550,26 +541,20 @@ class EnumerationReport:
         return not self.unresolved
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "split": self.split,
-            "parallel": self.parallel,
-            "reducible": self.reducible,
-            "unresolved": list(self.unresolved),
-            "holds": self.holds,
-        }
+        return asdict(self) | {"holds": self.holds}
 
     def merge(self, other: "EnumerationReport") -> "EnumerationReport":
+        """Add two shares of one level field by field (lists concatenate)."""
         if other.n != self.n:
             raise ValueError("cannot merge reports for different n")
-        out = EnumerationReport(self.n)
-        out.total = self.total + other.total
-        out.split = self.split + other.split
-        out.parallel = self.parallel + other.parallel
-        out.reducible = self.reducible + other.reducible
-        out.unresolved = self.unresolved + other.unresolved
-        return out
+        return EnumerationReport(
+            self.n,
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+                if f.name != "n"
+            },
+        )
 
 
 def classify(d: TangleDiagram) -> str:

@@ -123,23 +123,24 @@ def _level_worker(payload):
 
 def _cmd_enumerate(args) -> int:
     extended = args.extended
-    reports = []
-    for n in range(args.max_crossings + 1):
-        if args.jobs > 1:
-            import multiprocessing as mp
+    levels = range(args.max_crossings + 1)
+    if args.jobs > 1:
+        import multiprocessing as mp
 
-            with mp.Pool(args.jobs) as pool:
+        reports = []
+        with mp.Pool(args.jobs) as pool:
+            for n in levels:
                 parts = pool.map(
                     _level_worker,
                     [(n, extended, args.jobs, w) for w in range(args.jobs)],
                 )
-            merged = census.EnumerationReport(n)
-            for part in parts:
-                part.pop("holds")
-                merged = merged.merge(census.EnumerationReport(**part))
-            reports.append(merged)
-        else:
-            reports.append(census.classify_level(n, extended=extended))
+                merged = census.EnumerationReport(n)
+                for part in parts:
+                    part.pop("holds")
+                    merged = merged.merge(census.EnumerationReport(**part))
+                reports.append(merged)
+    else:
+        reports = [census.classify_level(n, extended=extended) for n in levels]
     if args.unresolved_dir:
         os.makedirs(args.unresolved_dir, exist_ok=True)
         for rep in reports:

@@ -80,21 +80,16 @@ def infinity_tangle() -> TangleDiagram:
     return trivial_tangle(((0, 3), (1, 2)), ("u", "w"))
 
 
-def _restring_2tangle(w: Wiring, labels=("u", "w")) -> TangleDiagram:
-    out = w.to_diagram()
-    seen = set()
+def _restring_2tangle(w: Wiring) -> TangleDiagram:
+    """Freeze a 2-string wiring; each string is named u or w at its earlier end."""
     strings = []
-    for j in range(4):
-        if j in seen:
-            continue
-        darts, closed = out._trace_from(out.ep_dart(j))
-        if closed:
-            raise TangleError("twist construction closed a strand")
-        other = out.alpha[darts[-1]] - 4 * out.n
-        seen.add(j)
-        seen.add(other)
-        strings.append((labels[len(strings)], j))
-    return TangleDiagram(out.n, out.k, out.alpha, tuple(strings), (), ())
+    for pos, eid in enumerate(w.endpoints):
+        port = w.mate[("e", eid)]
+        while port[0] == "x":
+            port = w.mate[("x", port[1], (port[2] + 2) % 4)]
+        if w.endpoints.index(port[1]) > pos:
+            strings.append((("u", "w")[len(strings)], eid))
+    return w.to_diagram(tuple(strings))
 
 
 def horizontal_twists(d: TangleDiagram, n: int) -> TangleDiagram:

@@ -27,13 +27,15 @@ class Component:
 
     `out_darts` lists, in traversal order, the dart at the start of every
     arc the strand runs along; empty for crossing-free loops.  Open strands
-    start at endpoint `start_ep`.
+    run from endpoint `start_ep` to endpoint `end_ep`; both are None on
+    closed ones.
     """
 
     label: str
     closed: bool
     out_darts: tuple[int, ...]
     start_ep: int | None = None
+    end_ep: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class TangleDiagram:
             darts, closed = self._trace_from(self.ep_dart(ep))
             if closed:
                 raise TangleError(f"string {label!r} traced to a closed loop")
-            comps.append(Component(label, False, darts, ep))
+            end_ep = self.alpha[darts[-1]] - 4 * self.n
+            comps.append(Component(label, False, darts, ep, end_ep))
             seen.update(darts)
             seen.update(self.alpha[d] for d in darts)
         for label, anchor in self.loops:
@@ -117,6 +120,12 @@ class TangleDiagram:
         return owner
 
     @cached_property
+    def crossing_strands(self) -> tuple[tuple[int, int], ...]:
+        """(under, over) component index of each crossing."""
+        owner = self.component_of_dart
+        return tuple((owner[4 * c], owner[4 * c + 1]) for c in range(self.n))
+
+    @cached_property
     def orientation(self) -> dict[int, bool]:
         """dart -> True when the component traversal leaves the node via it."""
         out: dict[int, bool] = {}
@@ -139,13 +148,7 @@ class TangleDiagram:
         """Number of crossings where the two (distinct) components meet."""
         ia = self.components.index(self.component_by_label(label_a))
         ib = self.components.index(self.component_by_label(label_b))
-        count = 0
-        for c in range(self.n):
-            under = self.component_of_dart[4 * c]
-            over = self.component_of_dart[4 * c + 1]
-            if {under, over} == {ia, ib}:
-                count += 1
-        return count
+        return sum({under, over} == {ia, ib} for under, over in self.crossing_strands)
 
     # -- faces and planarity -----------------------------------------------
 

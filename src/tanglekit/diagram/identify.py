@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .._poly import LaurentPoly
 from ..errors import TangleError
 from ..rational import (
     TangleFraction,
@@ -25,8 +24,9 @@ from ..rational import (
 )
 from .build import rational_tangle_diagram
 from .core import TangleDiagram
-from .invariants import bracket_both, fingerprint
+from .invariants import fingerprint
 from .rewrite import simplify
+from .surgery import close_numerator, close_with
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,6 @@ def _fingerprint_table() -> dict[tuple, LinkId]:
     unlink = TangleDiagram(0, 0, (), (), (), ("o1", "o2"))
     add(fingerprint(unlink), LinkId("unlink2", components=2))
 
-    from .surgery import close_numerator
-
     for P in range(2, MAX_TABLE_P + 1):
         for q in range(1, P):
             if gcd(P, q) != 1:
@@ -107,7 +105,7 @@ def identify_link(d: TangleDiagram) -> LinkId:
     if d.k != 0:
         raise TangleError("identify_link needs a closed diagram")
     small = simplify(d, "free")
-    fp = fingerprint(small, bracket=bracket_both(small))
+    fp = fingerprint(small)
     hit = _fingerprint_table().get(fp)
     if hit is not None:
         return hit
@@ -118,16 +116,15 @@ def identify_link(d: TangleDiagram) -> LinkId:
 # -- fraction recovery ---------------------------------------------------------
 
 
+def _probes(d: TangleDiagram) -> tuple:
+    """Fingerprints of the 0/1, 1/0 and 1/1 closures of a 2-string tangle."""
+    fillers = (TangleFraction(0, 1), TangleFraction(1, 0), reduce(1, 1))
+    return tuple(fingerprint(close_with(d, f)) for f in fillers)
+
+
 @lru_cache(maxsize=None)
 def _closure_fingerprints(p: int, q: int) -> tuple:
-    from .surgery import close_with
-
-    fr = TangleFraction(p, q)
-    diag = rational_tangle_diagram(fr)
-    f0 = fingerprint(close_with(diag, TangleFraction(0, 1)))
-    finf = fingerprint(close_with(diag, TangleFraction(1, 0)))
-    f1 = fingerprint(close_with(diag, reduce(1, 1)))
-    return (f0, finf, f1)
+    return _probes(rational_tangle_diagram(TangleFraction(p, q)))
 
 
 def recover_fraction(d: TangleDiagram, bound: int = 8) -> TangleFraction:
@@ -137,16 +134,9 @@ def recover_fraction(d: TangleDiagram, bound: int = 8) -> TangleFraction:
     reference twist diagrams for all reduced |p|,|q| <= bound.  Raises when
     no candidate (or more than one) matches.
     """
-    from .surgery import close_with
-
     if d.k != 4:
         raise TangleError("fraction recovery needs a 2-string tangle")
-    small = simplify(d, "rel_boundary")
-    probes = (
-        fingerprint(close_with(small, TangleFraction(0, 1))),
-        fingerprint(close_with(small, TangleFraction(1, 0))),
-        fingerprint(close_with(small, reduce(1, 1))),
-    )
+    probes = _probes(simplify(d, "rel_boundary"))
     matches = []
     candidates = [(1, 0), (0, 1)]
     for q in range(1, bound + 1):

@@ -14,9 +14,15 @@ Two independent Kauffman bracket implementations are kept side by side:
 Both build a single polynomial at the end.  `identify`-level code runs
 both and refuses to answer when they disagree.
 
+Writhe, linking numbers and the fingerprint share one sign rule,
+`_signed_pairs`, which signs each crossing of `TangleDiagram.crossing_strands`
+under the components' traversal orientation; `writhe(d)` sums them all.
+
 The fingerprint used for link identification is orientation-free: the
 writhe-normalized bracket (-A^3)^{-w} <D> is collected over every choice
-of component orientations, together with the component count.  That set is
+of component orientations, together with the component count.  Reversing
+a component negates the sign of each crossing it has with another one, so
+each choice only reweights the pair sums of `_signed_pairs`.  That set is
 invariant under all Reidemeister moves and under reversing or permuting
 components, and it separates mirror images whenever the bracket does.
 """
@@ -293,32 +299,30 @@ def bracket_both(d: TangleDiagram) -> LaurentPoly:
 # -- orientations, writhe, linking --------------------------------------------
 
 
-def crossing_sign(d: TangleDiagram, c: int, flipped: set[int] | None = None) -> int:
-    """Sign of crossing c under component orientations (optionally flipped).
+def _signed_pairs(d: TangleDiagram) -> tuple[int, dict[tuple[int, int], int]]:
+    """Self-crossing writhe and the signed crossing sum per component pair i < j.
 
-    Positive exactly when the under-strand's entry slot is one step
-    counterclockwise from the over-strand's entry slot.
+    The one sign rule: a crossing is positive exactly when the under-strand
+    enters one slot counterclockwise from where the over-strand enters,
+    that is, when exactly one of the two leaves by its slot 0 or 1 dart.
     """
-    flipped = flipped or set()
     orient = d.orientation
-    comp = d.component_of_dart
-
-    def entry_slot(s0: int, s1: int) -> int:
-        d0 = 4 * c + s0
-        rev = comp[d0] in flipped
-        incoming = not orient[d0]
-        if rev:
-            incoming = not incoming
-        return s0 if incoming else s1
-
-    u_in = entry_slot(0, 2)
-    o_in = entry_slot(1, 3)
-    return 1 if (u_in - o_in) % 4 == 1 else -1
+    self_w = 0
+    pairs: dict[tuple[int, int], int] = {}
+    for c, (under, over) in enumerate(d.crossing_strands):
+        s = 1 if orient[4 * c] != orient[4 * c + 1] else -1
+        if under == over:
+            self_w += s
+        else:
+            key = (min(under, over), max(under, over))
+            pairs[key] = pairs.get(key, 0) + s
+    return self_w, pairs
 
 
-def writhe(d: TangleDiagram, flipped: set[int] | None = None) -> int:
+def writhe(d: TangleDiagram) -> int:
     _require_closed(d)
-    return sum(crossing_sign(d, c, flipped) for c in range(d.n))
+    self_w, pairs = _signed_pairs(d)
+    return self_w + sum(pairs.values())
 
 
 def linking_number(d: TangleDiagram, label_a: str, label_b: str) -> int:
@@ -328,12 +332,7 @@ def linking_number(d: TangleDiagram, label_a: str, label_b: str) -> int:
         raise TangleError("linking number needs two distinct components")
     ia = d.components.index(d.component_by_label(label_a))
     ib = d.components.index(d.component_by_label(label_b))
-    total = 0
-    for c in range(d.n):
-        under = d.component_of_dart[4 * c]
-        over = d.component_of_dart[4 * c + 1]
-        if {under, over} == {ia, ib}:
-            total += crossing_sign(d, c)
+    total = _signed_pairs(d)[1].get((min(ia, ib), max(ia, ib)), 0)
     if total % 2 != 0:
         raise TangleError("odd inter-component crossing sum; orientation corrupt")
     return total // 2
@@ -342,41 +341,25 @@ def linking_number(d: TangleDiagram, label_a: str, label_b: str) -> int:
 def linking_matrix(d: TangleDiagram) -> dict[tuple[str, str], int]:
     _require_closed(d)
     labels = sorted(comp.label for comp in d.components)
-    out = {}
-    for la, lb in combinations(labels, 2):
-        out[(la, lb)] = linking_number(d, la, lb)
-    return out
+    return {(la, lb): linking_number(d, la, lb) for la, lb in combinations(labels, 2)}
 
 
 # -- fingerprints --------------------------------------------------------------
 
 
-def fingerprint(d: TangleDiagram, bracket=None) -> tuple:
+def fingerprint(d: TangleDiagram) -> tuple:
     """Orientation-free normalized-bracket fingerprint plus component count."""
     _require_closed(d)
-    br = bracket if bracket is not None else bracket_both(d)
-    comps = d.components
-    m = len(comps)
-    closed_idx = list(range(m))
-    self_w = 0
-    pair_sums: dict[tuple[int, int], int] = {}
-    for c in range(d.n):
-        under = d.component_of_dart[4 * c]
-        over = d.component_of_dart[4 * c + 1]
-        s = crossing_sign(d, c)
-        if under == over:
-            self_w += s
-        else:
-            key = (min(under, over), max(under, over))
-            pair_sums[key] = pair_sums.get(key, 0) + s
+    br = bracket_both(d)
+    self_w, pairs = _signed_pairs(d)
+    m = len(d.components)
     polys = set()
-    others = closed_idx[1:]
+    others = range(1, m)
     for r in range(len(others) + 1):
-        for chosen in combinations(others, r):
-            flipped = set(chosen)
-            w = self_w
-            for (i, j), sgn in pair_sums.items():
-                w += sgn * (-1 if (i in flipped) != (j in flipped) else 1)
+        for flipped in combinations(others, r):
+            w = self_w + sum(
+                s if (i in flipped) == (j in flipped) else -s for (i, j), s in pairs.items()
+            )
             # (-A^3)^{-w}
             norm = (MINUS_A_INV_CUBED if w >= 0 else MINUS_A_CUBED).pow(abs(w))
             polys.add((br * norm).key())

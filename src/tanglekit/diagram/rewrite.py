@@ -147,9 +147,7 @@ def apply_untwist(d: TangleDiagram, match: tuple) -> TangleDiagram:
     for comp in d.components:
         if comp.closed:
             continue
-        start = comp.start_ep
-        end = d.alpha[comp.out_darts[-1]] - 4 * d.n
-        keep = [e for e in (start, end) if e not in (ep_a, ep_b)]
+        keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
         anchors[comp.label] = keep[0] if keep else ep_b
     # strand of a now ends at b's spot, strand of b at the fresh spot
     if la != lb:

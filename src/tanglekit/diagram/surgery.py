@@ -32,13 +32,12 @@ def _cap_pair(i: int) -> tuple[int, int]:
 
 
 def _label_by_endpoint(d: TangleDiagram) -> dict[int, str]:
-    out: dict[int, str] = {}
-    for comp in d.components:
-        if not comp.closed:
-            out[comp.start_ep] = comp.label
-            last = comp.out_darts[-1]
-            out[d.alpha[last] - 4 * d.n] = comp.label
-    return out
+    return {
+        ep: comp.label
+        for comp in d.components
+        if not comp.closed
+        for ep in (comp.start_ep, comp.end_ep)
+    }
 
 
 class _Closer:
@@ -92,7 +91,7 @@ class _Closer:
             for x in darts:
                 for y in (x, raw.alpha[x]):
                     if y < 4 * n_old:
-                        labs.add(self.d.components[self.d.component_of_dart[y]].label)
+                        labs.add(self.d.label_of(y))
             return sorted(labs)
 
         def claim(dart: int, label: str | None) -> None:
@@ -130,14 +129,14 @@ class _Closer:
         ).validate()
 
 
-def cap(d: TangleDiagram, i: int, merged_label: str | None = None) -> TangleDiagram:
+def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     """Cap off the c_i boundary arc, turning a 3-string into a 2-string tangle."""
     if d.k != 6:
         raise TangleError("cap needs a 3-string tangle (6 endpoints)")
     a, b = _cap_pair(i)
     labels = _label_by_endpoint(d)
     la, lb = labels[a], labels[b]
-    name = merged_label or f"shat{i}"
+    name = f"shat{i}"
     w = Wiring.from_diagram(d)
     free_extra: list[str] = []
     loop_anchor: tuple | None = None
@@ -169,9 +168,7 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     idx = d.components.index(comp)
     w = Wiring.from_diagram(d)
     free_extra: list[str] = []
-    for c in range(d.n):
-        under = d.component_of_dart[4 * c]
-        over = d.component_of_dart[4 * c + 1]
+    for c, (under, over) in enumerate(d.crossing_strands):
         if idx not in (under, over):
             continue
         if under != over:
@@ -185,15 +182,14 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     material = set(comp.out_darts) | {d.alpha[x] for x in comp.out_darts}
     for dart in material:
         w.mate.pop(Wiring.port(d, dart), None)
-    eps = sorted(e for e in (comp.start_ep, d.alpha[comp.out_darts[-1]] - 4 * d.n))
+    p1, p2 = sorted((comp.start_ep, comp.end_ep))
     k = d.k
-    p1, p2 = eps
     if (p1 + 1) % k == p2:
         start = (p1 - 1) % k
     elif (p2 + 1) % k == p1:
         start = (p2 - 1) % k
     else:
-        start = min(e for e in range(k) if e not in eps)
+        start = min(e for e in range(k) if e not in (p1, p2))
     w.endpoints.remove(p1)
     w.endpoints.remove(p2)
     w.endpoints.sort(key=lambda e: (e - start) % k)
@@ -261,14 +257,13 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
     if n == 0:
         return d
     a, b = _cap_pair(i)
-    labels = _label_by_endpoint(d)
     w = Wiring.from_diagram(d)
     twist_pair(w, ("e", a), ("e", b), n, V_POSITIVE_LEFT_UNDER)
-    # strand identities: trace from the endpoint of each string that is not
-    # at the twisted pair (every 3-string tangle string has one)
+    # anchor each string at its lower end away from the twisted pair
     strings = []
-    for lab, _ in d.strings:
-        ends = [e for e, l2 in labels.items() if l2 == lab]
-        anchor = [e for e in ends if e not in (a, b)]
-        strings.append((lab, min(anchor) if anchor else min(ends)))
+    for comp in d.components:
+        if not comp.closed:
+            ends = (comp.start_ep, comp.end_ep)
+            anchor = [e for e in ends if e not in (a, b)]
+            strings.append((comp.label, min(anchor) if anchor else min(ends)))
     return w.to_diagram(strings, w.surviving_loops(d, []), d.free_loops).validate()

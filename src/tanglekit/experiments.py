@@ -26,10 +26,12 @@ from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (
     TangleFraction,
     TorusLinkParam,
+    closure_with_filler,
     reduce,
     solve_deletion_pair,
     solve_in_trans,
     solve_inversion_v,
+    torus_two_bridge,
 )
 
 
@@ -48,10 +50,6 @@ class ExperimentSystem:
     d1: int = 0
     d2: int = 0
     d3: int = 0
-
-    @property
-    def normal_form(self) -> bool:
-        return self.d1 == self.d2 == self.d3 == 0
 
     @classmethod
     def table_defaults(cls) -> "ExperimentSystem":
@@ -146,8 +144,6 @@ def _solve_capped(L: int, d: int) -> TangleFraction:
         raise NoSolution(f"(2,{L}) is not a torus link product")
     if d == 0:
         return solve_deletion_pair(L)
-    from .rational import closure_with_filler, torus_two_bridge
-
     # X = p/q with |p| = 1 (unknot equation); the 1/d closure fraction
     # -(q + d*p)/p must land in the right-handed +L class, so q = -p(s+d)
     # with s = +-L, checked exactly for chirality.
@@ -285,8 +281,6 @@ def verify_solution_tangle(
         raise TangleError("verify_solution_tangle needs a 3-string tangle")
     report = VerificationReport()
     unknot = LinkId("unknot")
-    from .rational import torus_two_bridge
-
     torus = LinkId.from_two_bridge(torus_two_bridge(L))
     for i in (1, 2, 3):
         capped = cap(d, i)

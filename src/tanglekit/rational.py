@@ -39,10 +39,6 @@ class TangleFraction:
     def is_infinity(self) -> bool:
         return self.q == 0
 
-    @property
-    def is_integral(self) -> bool:
-        return self.q == 1
-
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
 

@@ -1,6 +1,7 @@
 """Diagram engine: construction, closures, invariants, identification."""
 
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -26,6 +27,7 @@ from tanglekit.diagram import (
     horizontal_twists,
     identify_link,
     infinity_tangle,
+    linking_matrix,
     linking_number,
     parse_pd,
     rational_tangle_diagram,
@@ -34,6 +36,7 @@ from tanglekit.diagram import (
     simplify,
     trivial_tangle,
     vertical_twists,
+    writhe,
     zero_tangle,
 )
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
@@ -387,6 +390,112 @@ class TestFractionDiagramConsistency:
             assert len(set(group)) == 1, f"class {tb} split into several fingerprints"
         all_fps = {group[0] for group in fps.values()}
         assert len(all_fps) == len(fps), "distinct classes share a fingerprint"
+
+
+    def test_rational_tangles_pinned(self):
+        with open("tests/fixtures/rational_tangles.txt", encoding="utf-8") as fh:
+            records = fh.read().split("## ")[1:]
+        pinned = dict(record.split("\n", 1) for record in records)
+        fracs = [TangleFraction(1, 0), TangleFraction(0, 1)]
+        fracs += [
+            TangleFraction(p, q)
+            for q in range(1, 9)
+            for p in range(-8, 9)
+            if p and gcd(abs(p), q) == 1
+        ]
+        assert {str(fr): emit_pd(rational_tangle_diagram(fr)) for fr in fracs} == pinned
+
+
+def _oracle_sign(d, c, flipped=frozenset()):
+    """Sign of crossing c with the components in `flipped` reversed, one
+    crossing at a time, as the sign rule was first written; kept as an
+    oracle for `invariants._signed_pairs`."""
+    orient = d.orientation
+    comp = d.component_of_dart
+
+    def entry_slot(s0, s1):
+        d0 = 4 * c + s0
+        incoming = not orient[d0]
+        if comp[d0] in flipped:
+            incoming = not incoming
+        return s0 if incoming else s1
+
+    return 1 if (entry_slot(0, 2) - entry_slot(1, 3)) % 4 == 1 else -1
+
+
+def _oracle_linking_matrix(d):
+    comp = d.component_of_dart
+    out = {}
+    for la, lb in combinations(sorted(c.label for c in d.components), 2):
+        pair = {d.components.index(d.component_by_label(lab)) for lab in (la, lb)}
+        total = sum(
+            _oracle_sign(d, c) for c in range(d.n) if {comp[4 * c], comp[4 * c + 1]} == pair
+        )
+        assert total % 2 == 0
+        out[(la, lb)] = total // 2
+    return out
+
+
+def _oracle_fingerprint(d):
+    """The normalized bracket over every orientation choice, each writhe
+    summed crossing by crossing."""
+    br = bracket_both(d)
+    others = range(1, len(d.components))
+    polys = set()
+    for r in range(len(others) + 1):
+        for flipped in combinations(others, r):
+            w = sum(_oracle_sign(d, c, set(flipped)) for c in range(d.n))
+            norm = LaurentPoly.monomial(-3 * w, -1 if w % 2 else 1)  # (-A^3)^{-w}
+            polys.add((br * norm).key())
+    return (len(d.components), tuple(sorted(polys)))
+
+
+def _check_strand_facts(d):
+    """`crossing_strands` and the string ends against lookups on the darts."""
+    owner = {}
+    for i, comp in enumerate(d.components):
+        for x in comp.out_darts:
+            owner[x] = owner[d.alpha[x]] = i
+    assert d.crossing_strands == tuple((owner[4 * c], owner[4 * c + 1]) for c in range(d.n))
+    for comp in d.components:
+        if comp.closed:
+            assert comp.start_ep is None and comp.end_ep is None
+        else:
+            assert comp.out_darts[0] == d.ep_dart(comp.start_ep)
+            assert d.alpha[comp.out_darts[-1]] == d.ep_dart(comp.end_ep)
+
+
+class TestStrandFacts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.sampled_from(["numerator", "denominator", "x_arcs"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    )
+    def test_sign_rule_matches_per_crossing_oracle(self, seed, n, closure, moves, free):
+        d = _random_closed_diagram(seed, n, closure, moves, free)
+        _check_strand_facts(d)
+        assert writhe(d) == sum(_oracle_sign(d, c) for c in range(d.n))
+        assert linking_matrix(d) == _oracle_linking_matrix(d)
+        assert fingerprint(d) == _oracle_fingerprint(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 8),
+        st.sampled_from([2, 4, 6]),
+        st.integers(0, 2),
+    )
+    def test_string_ends_match_darts(self, seed, n, k, kinks):
+        rng = random.Random(seed)
+        d = random_diagram(rng, n, k=k)
+        for _ in range(kinks):
+            d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
+        _check_strand_facts(d)
+        ends = sorted(e for c in d.components for e in (c.start_ep, c.end_ep))
+        assert ends == list(range(d.k))
 
 
 class TestRecoverFraction:
