@@ -297,14 +297,19 @@ def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
         yield switch_crossings(alpha, [c for c in range(n) if (bits >> c) & 1])[0]
 
 
-def _level_alphas(n: int, extended: bool, shard: tuple[int, int] | None):
-    """The n-crossing shadows' alphas, each as the search placed it."""
+def check_level_gate(n: int, extended: bool) -> None:
+    """Refuse level n: past HARD_CAP always, past GATE_CAP unless extended."""
     if n < 0 or n > HARD_CAP:
         raise BudgetExceeded(f"crossing count {n} outside 0..{HARD_CAP}")
     if n > GATE_CAP and not extended:
         raise BudgetExceeded(
             f"n={n} beyond the desk-scale gate {GATE_CAP}; pass extended=True"
         )
+
+
+def _level_alphas(n: int, extended: bool, shard: tuple[int, int] | None):
+    """The n-crossing shadows' alphas, each as the search placed it."""
+    check_level_gate(n, extended)
     return _shadow_search(n, 6, shard)
 
 
@@ -614,6 +619,5 @@ def verify_theorem_4_4(n_max: int, extended: bool = False) -> list[EnumerationRe
     unresolved diagrams are emitted as PD codes for inspection, never
     counted as counterexamples.
     """
-    if n_max > HARD_CAP:
-        raise BudgetExceeded(f"n_max {n_max} exceeds hard cap {HARD_CAP}")
+    check_level_gate(n_max, extended)
     return [classify_level(n, extended=extended) for n in range(n_max + 1)]

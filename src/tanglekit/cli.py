@@ -123,6 +123,7 @@ def _level_worker(payload):
 
 def _cmd_enumerate(args) -> int:
     extended = args.extended
+    census.check_level_gate(args.max_crossings, extended)
     levels = range(args.max_crossings + 1)
     if args.jobs > 1:
         import multiprocessing as mp

@@ -2,9 +2,15 @@
 
 Two independent Kauffman bracket implementations are kept side by side:
 
-- `bracket_state_sum` iterates all 2^n smoothing states, counts each
-  state's loops by walking the darts, and tallies a histogram over
-  (A-exponent, loops);
+- `bracket_state_sum` iterates all 2^n smoothing states in Gray-code
+  order and tallies a histogram over (A-exponent, loops).  Consecutive
+  states differ at one crossing, and re-smoothing one crossing of a
+  planar diagram changes the loop count by exactly one (two loops through
+  it merge, or one loop through it splits), so each step updates the
+  count from per-dart loop labels: a merge relabels the smaller loop, a
+  split walks both halves in lockstep and relabels the first to close.
+  A split that leaves one loop can only happen on a non-planar map and
+  raises TangleError;
 - `bracket_skein` contracts the diagram one crossing at a time in BFS
   order, keeping the partial state sum as counts per (frontier matching,
   A-exponent, closed loops), so its cost follows the frontier's width
@@ -90,16 +96,43 @@ def _histogram_poly(hist: dict[tuple[int, int], int]) -> LaurentPoly:
 # -- state-sum bracket -------------------------------------------------------
 
 
+def _relabel(alpha, partner, label: list[int], start: int, lab: int) -> int:
+    """Give label `lab` to every dart of the loop through `start`; its size."""
+    x = start
+    size = 0
+    while True:
+        label[x] = lab
+        y = alpha[x]
+        label[y] = lab
+        size += 2
+        x = partner[y]
+        if x == start:
+            return size
+
+
 def bracket_state_sum(d: TangleDiagram) -> LaurentPoly:
     """<D> via the full 2^n smoothing state sum; <unknot> = 1.
 
     Each state sets every crossing's smoothing partner (A joins slots 0-1
-    and 2-3, B joins 0-3 and 1-2) and counts its loops by walking
-    alternately along alpha and the partner map, marking darts in a
-    bytearray.  The states are visited in Gray-code order, so each one
-    re-pairs the four slots of a single crossing, and are tallied in a
-    histogram {(A-exponent, loops): count} that becomes one polynomial at
-    the end.
+    and 2-3, B joins 0-3 and 1-2); its loops alternate between alpha and
+    the partner map.  The states are visited in Gray-code order, so each
+    one re-pairs the four slots of a single crossing c, and are tallied in
+    a histogram {(A-exponent, loops): count} that becomes one polynomial
+    at the end.
+
+    Loops are not recounted per state: every dart carries the label of its
+    loop and every label its dart count.  Re-smoothing lemma: re-pairing
+    one crossing of a planar diagram changes the loop count by exactly one.
+    Slots 0 and 2 of c lie in different smoothing pairs in both states, so
+    either they lie on two loops, which the new pairing always merges, or
+    on one loop, which it splits in two whenever the map is planar.  A
+    merge relabels the smaller loop, walked under the old pairing, with
+    the larger one's label.  A split walks the new loops from slots 0 and
+    2 in lockstep until one closes, and gives that one a fresh label.  So
+    a step costs the length of the smaller loop involved, not the 4n dart
+    steps of a full walk.  The lemma's one premise is checked, not
+    assumed: if the other start dart lost the old label, the split left
+    a single loop, the map is not planar, and TangleError is raised.
     """
     _require_closed(d)
     _check_budget(d)
@@ -107,31 +140,51 @@ def bracket_state_sum(d: TangleDiagram) -> LaurentPoly:
     nd = 4 * n
     alpha = d.alpha
     partner = [x ^ 1 for x in range(nd)]  # all-A state
+    label = [-1] * nd
+    size: list[int] = []  # dart count per label; a merged-away label stays unused
+    for start in range(nd):
+        if label[start] < 0:
+            size.append(_relabel(alpha, partner, label, start, len(size)))
+    loops = len(size) + len(d.free_loops)
     a_count = n
-    hist: dict[tuple[int, int], int] = {}
-    for i in range(1 << n):
-        if i:
-            base = 4 * ((i & -i).bit_length() - 1)
-            if partner[base] == base + 1:
-                partner[base : base + 4] = (base + 3, base + 2, base + 1, base)
-                a_count -= 1
+    hist: dict[tuple[int, int], int] = {(n, loops): 1}
+    for i in range(1, 1 << n):
+        base = 4 * ((i & -i).bit_length() - 1)
+        if partner[base] == base + 1:
+            flipped = (base + 3, base + 2, base + 1, base)  # A to B
+            a_count -= 1
+        else:
+            flipped = (base + 1, base, base + 3, base + 2)  # B to A
+            a_count += 1
+        lab0 = label[base]
+        lab2 = label[base + 2]
+        if lab0 != lab2:  # merge: relabel the smaller loop, old pairing
+            if size[lab0] < size[lab2]:
+                _relabel(alpha, partner, label, base, lab2)
+                size[lab2] += size[lab0]
             else:
-                partner[base : base + 4] = (base + 1, base, base + 3, base + 2)
-                a_count += 1
-        seen = bytearray(nd)
-        loops = len(d.free_loops)
-        for start in range(nd):
-            if seen[start]:
-                continue
-            loops += 1
-            x = start
+                _relabel(alpha, partner, label, base + 2, lab0)
+                size[lab0] += size[lab2]
+            partner[base : base + 4] = flipped
+            loops -= 1
+        else:  # split: walk from slots 0 and 2 in lockstep, new pairing
+            partner[base : base + 4] = flipped
+            x = base
+            y = base + 2
             while True:
-                seen[x] = 1
-                y = alpha[x]
-                seen[y] = 1
-                x = partner[y]
-                if x == start:
+                x = partner[alpha[x]]
+                if x == base:
+                    start, kept = base, base + 2
                     break
+                y = partner[alpha[y]]
+                if y == base + 2:
+                    start, kept = base + 2, base
+                    break
+            size.append(_relabel(alpha, partner, label, start, len(size)))
+            size[lab0] -= size[-1]
+            if label[kept] != lab0:
+                raise TangleError("re-smoothing left one loop; the map is not planar")
+            loops += 1
         key = (2 * a_count - n, loops)
         hist[key] = hist.get(key, 0) + 1
     return _histogram_poly(hist)

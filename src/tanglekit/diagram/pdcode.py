@@ -13,6 +13,14 @@ Arc ids are arbitrary positive integers; every arc has exactly two
 incidences among the X and B lines, except a crossing-free closed loop,
 whose single arc id appears only in its S line.  Closed diagrams have
 k=0 and no B line.
+
+The S line orients each component, except a closed one of one or two
+arcs, whose arc list reads the same in both directions.  Such a component
+is oriented by the X lines instead: where it passes under, its incoming
+arc is the one listed first.  A component that is over at all its
+crossings cannot be oriented that way and keeps the first end of its
+first arc; it lies above the rest of the diagram, so its linking numbers
+are 0 in either direction.
 """
 
 from __future__ import annotations
@@ -157,14 +165,20 @@ def parse_pd(text: str) -> TangleDiagram:
         ep_darts = [x for x in darts if probe.is_ep_dart(x)]
         # a string starts at its endpoint; a loop at either end of its first
         # arc, whichever traces the listed order
+        starts = []
         for start in ep_darts[:1] or darts:
             traced, closed = probe._trace_from(start)
             if [arc_of[x] for x in traced] == ids and (closed or ep_darts):
-                break
-        else:
+                starts.append((start, traced))
+        if not starts:
             raise PDSyntaxError(
                 f"S line {label!r} does not list its component's arcs in traversal order", ln
             )
+        # a loop of one or two arcs traces its S line both ways; take the way
+        # that never leaves a crossing by its incoming under-arc (slot 0)
+        start = next(
+            (dart for dart, traced in starts if all(x % 4 for x in traced)), starts[0][0]
+        )
         if ep_darts:
             strings.append((label, start - 4 * n))
         else:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tanglekit import census
 from tanglekit.census import (
     SHARD_DEPTH,
     _Gluing,
@@ -267,6 +268,18 @@ class TestTheorem:
         assert all(r.holds for r in reports)
         for r in reports:
             assert r.total == r.split + r.parallel + r.reducible + len(r.unresolved)
+
+    @pytest.mark.parametrize("n_max, extended", [(6, False), (8, True), (-1, False)])
+    def test_gates_checked_before_any_level(self, monkeypatch, n_max, extended):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was classified past a gate")
+
+        monkeypatch.setattr(census, "classify_level", refuse)
+        with pytest.raises(BudgetExceeded) as up_front:
+            verify_theorem_4_4(n_max, extended)
+        with pytest.raises(BudgetExceeded) as at_level:
+            next(census._level_alphas(n_max, extended, None))
+        assert str(up_front.value) == str(at_level.value)
 
     def test_report_merge_guard(self):
         a = classify_level(0)

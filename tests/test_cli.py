@@ -120,6 +120,25 @@ class TestEnumerate:
         assert solo.returncode == multi.returncode == 0
         assert multi.stdout == solo.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-crossings", "6"],
+            ["--max-crossings", "6", "--jobs", "2"],
+            ["--max-crossings", "8", "--extended"],
+        ],
+    )
+    def test_gates_checked_before_any_level(self, argv, monkeypatch, capsys):
+        from tanglekit import census
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was classified past a gate")
+
+        monkeypatch.setattr(census, "classify_level", refuse)
+        assert main(["enumerate", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
     def test_rewrite_results_stay_validated_after_enumerate(self, capsys):
         # an in-process census must leave the R2 push picking a planar
         # embedding; an unvalidated push returns a genus-1 rotation here

@@ -40,6 +40,7 @@ from tanglekit.diagram import (
     zero_tangle,
 )
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
+from tanglekit.diagram.invariants import _histogram_poly
 from tanglekit.errors import BudgetExceeded, TangleError
 from tanglekit.rational import TangleFraction, numerator_closure, reduce
 
@@ -223,6 +224,31 @@ class TestBracket:
         d = _random_closed_diagram(seed, n, closure, moves, free)
         assert bracket_skein(d) == bracket_state_sum(d)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.sampled_from(["numerator", "denominator", "x_arcs"]),
+        st.integers(0, 4),
+        st.integers(0, 2),
+    )
+    # random tangles stop at 10 crossings (past that `random_diagram` can
+    # fall back to a long backtracking search); R1/R2 moves reach 12
+    @example(3, 10, "numerator", 4, 0)
+    @example(3, 10, "x_arcs", 4, 1)
+    def test_state_sum_matches_walk_oracle(self, seed, n, closure, moves, free):
+        d = _random_closed_diagram(seed, n, closure, moves, free, cap=12)
+        assert bracket_state_sum(d) == _walk_state_sum(d)
+
+    def test_state_sum_refuses_a_non_planar_map(self):
+        # the rotation system of tests/fixtures/genus1.pd, built without
+        # validate: re-smoothing its crossing keeps one loop, which no
+        # planar map allows, so the incremental loop count has no footing
+        d = TangleDiagram(1, 0, (2, 3, 0, 1), (), (("a", 0), ("b", 1)))
+        assert _walk_state_sum(d) == LaurentPoly({1: 1, -1: 1})
+        with pytest.raises(TangleError, match="not planar"):
+            bracket_state_sum(d)
+
     def test_state_sum_matches_union_find_oracle(self):
         rng = random.Random(20261018)
         for _ in range(60):
@@ -254,8 +280,8 @@ class TestBracket:
             assert bracket_skein(d) == want
 
 
-def _random_closed_diagram(seed, n, closure, moves, free):
-    """A random closed diagram with at most 10 crossings.
+def _random_closed_diagram(seed, n, closure, moves, free, cap=10):
+    """A random closed diagram with at most `cap` crossings.
 
     A random tangle with n crossings is closed by the 0/1 or 1/0 filler
     (1 or 2 components) or along its x-arcs (3 components), inflated by
@@ -275,14 +301,52 @@ def _random_closed_diagram(seed, n, closure, moves, free):
             for pair in zip(face, face[1:])
             if pair[1] < d.num_darts and d.alpha[pair[0]] != pair[1]
         ]
-        if d.n + 2 <= 10 and edges and rng.random() < 0.5:
+        if d.n + 2 <= cap and edges and rng.random() < 0.5:
             d1, d2 = edges[rng.randrange(len(edges))]
             d = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
-        elif d.num_darts and d.n + 1 <= 10:
+        elif d.num_darts and d.n + 1 <= cap:
             d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
     return TangleDiagram(
         d.n, 0, d.alpha, (), d.loops, d.free_loops + tuple(f"f{i}" for i in range(free))
     )
+
+
+def _walk_state_sum(d):
+    """The 2^n state sum in Gray-code order, counting each state's loops by
+    walking every dart, as the bracket was written before its loop count
+    became incremental; kept as an oracle."""
+    n = d.n
+    nd = 4 * n
+    alpha = d.alpha
+    partner = [x ^ 1 for x in range(nd)]  # all-A state
+    a_count = n
+    hist = {}
+    for i in range(1 << n):
+        if i:
+            base = 4 * ((i & -i).bit_length() - 1)
+            if partner[base] == base + 1:
+                partner[base : base + 4] = (base + 3, base + 2, base + 1, base)
+                a_count -= 1
+            else:
+                partner[base : base + 4] = (base + 1, base, base + 3, base + 2)
+                a_count += 1
+        seen = bytearray(nd)
+        loops = len(d.free_loops)
+        for start in range(nd):
+            if seen[start]:
+                continue
+            loops += 1
+            x = start
+            while True:
+                seen[x] = 1
+                y = alpha[x]
+                seen[y] = 1
+                x = partner[y]
+                if x == start:
+                    break
+        key = (2 * a_count - n, loops)
+        hist[key] = hist.get(key, 0) + 1
+    return _histogram_poly(hist)
 
 
 def _union_find_state_sum(d):

@@ -1,11 +1,21 @@
 """PD text format: round trips, error reporting, genus detection."""
 
+from math import gcd
+
 import pytest
 
-from tanglekit.diagram import close_numerator, emit_pd, parse_pd, rational_tangle_diagram, trivial_tangle
+from tanglekit.diagram import (
+    close_numerator,
+    close_with,
+    emit_pd,
+    linking_matrix,
+    parse_pd,
+    rational_tangle_diagram,
+    trivial_tangle,
+)
 from tanglekit.errors import NonPlanarCode, PDSyntaxError
 from tanglekit.experiments import pjh_tangle
-from tanglekit.rational import reduce
+from tanglekit.rational import TangleFraction, reduce
 
 
 class TestRoundTrip:
@@ -38,6 +48,32 @@ class TestRoundTrip:
             d = random_diagram(rng, rng.randint(0, 6), k=6)
             text = emit_pd(d)
             assert emit_pd(parse_pd(text)) == text
+
+    def test_short_closed_components_keep_their_orientation(self):
+        # the S line of a closed component with one or two arcs reads the
+        # same both ways; the X lines must orient it, or lk signs flip
+        fractions = {
+            reduce(p, q)
+            for p in range(-8, 9)
+            for q in range(9)
+            if (p, q) != (0, 0) and gcd(abs(p), q) == 1
+        }
+        fillers = (TangleFraction(0, 1), TangleFraction(1, 0), TangleFraction(1, 1))
+        links = [
+            d
+            for f in fractions
+            for filler in fillers
+            for d in [close_with(rational_tangle_diagram(f), filler)]
+            if len(d.components) == 2
+        ]
+        assert len(links) == 88
+        hopf = close_with(rational_tangle_diagram(reduce(-2, 1)), TangleFraction(0, 1))
+        assert linking_matrix(hopf) == {("u", "w"): 1}
+        for d in links + [hopf]:
+            text = emit_pd(d)
+            back = parse_pd(text)
+            assert linking_matrix(back) == linking_matrix(d)
+            assert emit_pd(back) == text
 
     def test_comments_and_blanks_ignored(self):
         text = emit_pd(trivial_tangle())
