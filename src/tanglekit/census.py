@@ -291,10 +291,15 @@ def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
     return any(m <= 1 for m in meets)
 
 
+def _variant(alpha: tuple[int, ...], n: int, bits: int) -> tuple[int, ...]:
+    """The under-strand assignment that switches the crossings set in bits."""
+    return switch_crossings(alpha, [c for c in range(n) if (bits >> c) & 1])[0]
+
+
 def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
-    """All 2^n under-strand assignments of a shadow."""
+    """All 2^n under-strand assignments of a shadow, in order of bits."""
     for bits in range(1 << n):
-        yield switch_crossings(alpha, [c for c in range(n) if (bits >> c) & 1])[0]
+        yield _variant(alpha, n, bits)
 
 
 def check_level_gate(n: int, extended: bool) -> None:
@@ -402,8 +407,7 @@ def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400
     """
 
     def finish(alpha: tuple[int, ...]) -> TangleDiagram | None:
-        variants = list(_over_under_variants(alpha, n, k))
-        variant = variants[rng.randrange(len(variants))]
+        variant = _variant(alpha, n, rng.randrange(1 << n))
         strings = _strings_of(variant, n, k)
         if strings:
             return TangleDiagram(n, k, variant, strings)

@@ -7,6 +7,17 @@ arithmetically.  Any fingerprint collision between distinct classes
 downgrades those entries, so a lookup can answer Unknown but never
 misidentify.  The bracket is not a complete invariant in general; at these
 sizes the build-time collision check is the honesty guarantee.
+
+The table is kept in classes by determinant.  det(L) = |<L>| at
+A = e^{i pi/4}, up to the normalizing unit, so a fingerprint fixes its
+determinant (`determinant`), and a query can only match references of its
+own class: the unknot is det 1, the 2-component unlink det 0, and b(P, q)
+det P, built from its 2 phi(P) references.  `identify_link` builds only
+the class of its query, and none when det > MAX_TABLE_P.  Equal
+fingerprints have equal determinants, so every collision lies inside one
+class, and the per-class collision check equals a check over the whole
+table.  Each reference's determinant is checked against its class at
+build time, so that lemma is verified rather than assumed.
 """
 
 from __future__ import annotations
@@ -65,38 +76,73 @@ class LinkId:
 MAX_TABLE_P = 10
 
 
-@lru_cache(maxsize=1)
-def _fingerprint_table() -> dict[tuple, LinkId]:
-    """fingerprint -> LinkId for b(p,q) and (2,p), p <= MAX_TABLE_P."""
+def determinant(fp: tuple) -> int:
+    """det of the link with fingerprint fp: |<L>| at A = e^{i pi/4}.
+
+    The first normalized bracket is evaluated exactly in Z[zeta8] as four
+    integer coordinates over 1, zeta8, zeta8^2, zeta8^3 (zeta8^4 = -1).
+    Every exponent of a link's bracket has one residue mod 4, so the value
+    is a unit times det and at most one coordinate is non-zero; two or
+    more mean a corrupt fingerprint, and TangleError is raised.
+    """
+    coords = [0, 0, 0, 0]
+    for e, c in fp[1][0]:
+        coords[e % 4] += c if e % 8 < 4 else -c
+    nonzero = [x for x in coords if x]
+    if len(nonzero) > 1:
+        raise TangleError(f"bracket at e^(i pi/4) is not a unit times an integer: {coords}")
+    return abs(nonzero[0]) if nonzero else 0
+
+
+def _references(det: int):
+    """(diagram, LinkId) of every reference of determinant det."""
+    if det == 0:
+        yield TangleDiagram(0, 0, (), (), (), ("o1", "o2")), LinkId("unlink2", components=2)
+    elif det == 1:
+        yield TangleDiagram(0, 0, (), (), (), ("o",)), LinkId("unknot")
+    elif det <= MAX_TABLE_P:
+        for q in range(1, det):
+            if gcd(det, q) != 1:
+                continue
+            for sign in (1, -1):
+                fr = reduce(sign * det, q)
+                diag = close_numerator(rational_tangle_diagram(fr))
+                yield diag, LinkId.from_two_bridge(numerator_closure(fr))
+
+
+@lru_cache(maxsize=None)
+def _class_table(det: int) -> dict[tuple, LinkId]:
+    """fingerprint -> LinkId for the references of determinant det.
+
+    Unbounded: one entry per determinant a process meets, and each past
+    MAX_TABLE_P is an empty dict built with no reference.
+    """
     table: dict[tuple, LinkId] = {}
     collided: set[tuple] = set()
-
-    def add(fp: tuple, lid: LinkId) -> None:
+    for diag, lid in _references(det):
+        fp = fingerprint(diag)
+        if determinant(fp) != det:
+            raise TangleError(f"reference {lid} has determinant {determinant(fp)}, not {det}")
         prior = table.get(fp)
         if prior is None:
             if fp not in collided:
                 table[fp] = lid
-            return
-        if prior != lid:
+        elif prior != lid:
             del table[fp]
             collided.add(fp)
+    return table
 
-    # unknot and 2-component unlink
-    unknot = TangleDiagram(0, 0, (), (), (), ("o",))
-    add(fingerprint(unknot), LinkId("unknot"))
-    unlink = TangleDiagram(0, 0, (), (), (), ("o1", "o2"))
-    add(fingerprint(unlink), LinkId("unlink2", components=2))
 
-    for P in range(2, MAX_TABLE_P + 1):
-        for q in range(1, P):
-            if gcd(P, q) != 1:
-                continue
-            for sign in (1, -1):
-                fr = reduce(sign * P, q)
-                target = numerator_closure(fr)
-                diag = close_numerator(rational_tangle_diagram(fr))
-                fp = fingerprint(diag)
-                add(fp, LinkId.from_two_bridge(target))
+@lru_cache(maxsize=1)
+def _fingerprint_table() -> dict[tuple, LinkId]:
+    """fingerprint -> LinkId for b(p,q) and (2,p), p <= MAX_TABLE_P.
+
+    The union of every class, built up front; `identify_link` reads only
+    the class of its query.
+    """
+    table: dict[tuple, LinkId] = {}
+    for det in range(MAX_TABLE_P + 1):
+        table.update(_class_table(det))
     return table
 
 
@@ -106,7 +152,7 @@ def identify_link(d: TangleDiagram) -> LinkId:
         raise TangleError("identify_link needs a closed diagram")
     small = simplify(d, "free")
     fp = fingerprint(small)
-    hit = _fingerprint_table().get(fp)
+    hit = _class_table(determinant(fp)).get(fp)
     if hit is not None:
         return hit
     comps = len(small.components)

@@ -111,6 +111,60 @@ def _all_matchings(nd):
     return rec()
 
 
+def _list_random_diagram(rng, n, k=6, walk_tries=400):
+    """`random_diagram` as it was when `finish` listed all 2^n variants to
+    pick one: the oracle for drawing the variant's bits directly."""
+
+    def finish(alpha):
+        variants = list(_over_under_variants(alpha, n, k))
+        variant = variants[rng.randrange(len(variants))]
+        strings = _strings_of(variant, n, k)
+        if strings:
+            return TangleDiagram(n, k, variant, strings)
+        return None
+
+    for _ in range(walk_tries):
+        state = _Gluing(n, k)
+        stuck = False
+        while not stuck:
+            d0 = state.pivot()
+            if d0 is None:
+                break
+            cands = state.candidates(d0, all_fresh=True)
+            rng.shuffle(cands)
+            stuck = True
+            for b in cands:
+                if state.glue(d0, b) is not None:
+                    stuck = False
+                    break
+        if not stuck:
+            out = finish(tuple(state.alpha))
+            if out is not None:
+                return out
+
+    state = _Gluing(n, k)
+
+    def rec():
+        d0 = state.pivot()
+        if d0 is None:
+            yield tuple(state.alpha)
+            return
+        cands = state.candidates(d0)
+        rng.shuffle(cands)
+        for b in cands:
+            undo = state.glue(d0, b)
+            if undo is None:
+                continue
+            yield from rec()
+            state.unglue(undo)
+
+    for alpha in rec():
+        out = finish(alpha)
+        if out is not None:
+            return out
+    raise RuntimeError("random diagram generation failed")
+
+
 class TestGenerator:
     def test_zero_crossings_count(self):
         diagrams = list(generate_diagrams(0))
@@ -195,6 +249,18 @@ class TestGenerator:
                 assert sorted(sum(shares, [])) == sorted(full)
                 if n >= 2:
                     assert all(shares)
+
+    @pytest.mark.parametrize("k", (4, 6))
+    def test_random_diagram_matches_listed_variants(self, k):
+        """Drawing the variant's bits directly consumes the same randomness
+        and returns the same diagram as listing all 2^n variants."""
+        for seed in range(50):
+            for n in range(9):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                d = random_diagram(rng, n, k=k)
+                want = _list_random_diagram(oracle_rng, n, k=k)
+                assert (d.alpha, d.strings) == (want.alpha, want.strings)
+                assert rng.getstate() == oracle_rng.getstate()
 
 
 class TestDetectors:

@@ -39,7 +39,9 @@ from tanglekit.diagram import (
     writhe,
     zero_tangle,
 )
+from tanglekit.diagram import identify
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
+from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly
 from tanglekit.errors import BudgetExceeded, TangleError
 from tanglekit.rational import TangleFraction, numerator_closure, reduce
@@ -428,6 +430,103 @@ class TestIdentify:
             assert abs(lid.torus) == 2  # amphichiral Hopf
         else:
             assert lid.torus == p
+
+
+def _global_table_oracle():
+    """The fingerprint table as one global build with one collision check,
+    as it was before the table was kept in classes by determinant."""
+    table = {}
+    collided = set()
+
+    def add(fp, lid):
+        prior = table.get(fp)
+        if prior is None:
+            if fp not in collided:
+                table[fp] = lid
+            return
+        if prior != lid:
+            del table[fp]
+            collided.add(fp)
+
+    add(fingerprint(TangleDiagram(0, 0, (), (), (), ("o",))), LinkId("unknot"))
+    add(fingerprint(TangleDiagram(0, 0, (), (), (), ("o1", "o2"))), LinkId("unlink2", components=2))
+    for P in range(2, identify.MAX_TABLE_P + 1):
+        for q in range(1, P):
+            if gcd(P, q) != 1:
+                continue
+            for sign in (1, -1):
+                fr = reduce(sign * P, q)
+                diag = close_numerator(rational_tangle_diagram(fr))
+                add(fingerprint(diag), LinkId.from_two_bridge(numerator_closure(fr)))
+    return table
+
+
+def _arithmetic_det(lid):
+    """det of a table entry from its 2-bridge class, not from its bracket."""
+    if lid.kind == "unlink2":
+        return 0
+    if lid.kind == "unknot":
+        return 1
+    return lid.two_bridge.p
+
+
+class TestDeterminantClasses:
+    def test_classes_equal_the_global_table(self):
+        oracle = _global_table_oracle()
+        assert len(oracle) == 27
+        for det in range(13):
+            want = {fp: lid for fp, lid in oracle.items() if _arithmetic_det(lid) == det}
+            assert identify._class_table(det) == want
+        assert identify._fingerprint_table() == oracle
+
+    def test_determinant_of_two_bridge_closures(self):
+        checked = 0
+        for P in range(2, 41):
+            for q in range(1, P):
+                if gcd(P, q) != 1:
+                    continue
+                for sign in (1, -1):
+                    d = close_numerator(rational_tangle_diagram(reduce(sign * P, q)))
+                    if d.n > 12:
+                        continue
+                    assert determinant(fingerprint(d)) == P
+                    checked += 1
+        assert checked == 685  # 359 fractions P/q and 326 mirrors -P/q fit in 12 crossings
+
+    def test_determinant_of_unlink_and_unknot(self):
+        assert determinant(fingerprint(TangleDiagram(0, 0, (), (), (), ("o1", "o2")))) == 0
+        assert determinant(fingerprint(TangleDiagram(0, 0, (), (), (), ("o",)))) == 1
+
+    def test_determinant_refuses_a_value_off_one_coordinate(self):
+        # 1 + A at A = e^{i pi/4} is not a unit times an integer
+        with pytest.raises(TangleError):
+            determinant((1, (((0, 1), (1, 1)),)))
+
+    def _count_references(self, monkeypatch):
+        built = []
+        real = identify.rational_tangle_diagram
+
+        def counting(fr):
+            built.append(abs(fr.p))
+            return real(fr)
+
+        identify._class_table.cache_clear()
+        monkeypatch.setattr(identify, "rational_tangle_diagram", counting)
+        return built
+
+    def test_identify_builds_only_its_class(self, monkeypatch):
+        d = close_numerator(rational_tangle_diagram(reduce(7, 3)))
+        built = self._count_references(monkeypatch)
+        lid = identify_link(d)
+        assert (lid.kind, lid.two_bridge.p) == ("two_bridge", 7)
+        assert built == [7] * 12  # 2 phi(7) references
+
+    def test_identify_past_the_table_builds_nothing(self, monkeypatch):
+        with open("tests/fixtures/torus14.pd", encoding="utf-8") as fh:
+            d = parse_pd(fh.read())
+        built = self._count_references(monkeypatch)
+        assert identify_link(d).kind == "unknown"
+        assert built == []
 
 
 class TestFractionDiagramConsistency:
