@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, fields
+from itertools import count
 
 from .diagram.core import TangleDiagram, switch_crossings
 from .diagram.pdcode import emit_pd
@@ -37,6 +38,8 @@ GATE_CAP = 5
 # search depth at which the tree is dealt out to --jobs workers; deep
 # enough for a few thousand subtrees at n >= 4, so the shares stay even
 SHARD_DEPTH = 6
+# glue attempts per unit of random_diagram's restart schedule
+RESTART_UNIT = 32
 
 
 # -- generation ------------------------------------------------------------
@@ -85,7 +88,7 @@ class _Gluing:
         By default fresh crossings are offered only through the lowest one
         at slot 0 (symmetry breaking for the exhaustive search, which thus
         emits each shadow class once; see generate_diagrams).  all_fresh
-        lifts that restriction for randomized single walks.
+        lifts that restriction for randomized draws.
         """
         faces, fresh, seg = self.faces, self.fresh, self.seg
         f0 = self.face_of[d0]
@@ -399,11 +402,19 @@ def naive_generate(n: int):
         yield d
 
 
+def _luby(i: int) -> int:
+    """Term i >= 1 of Luby's universal restart sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    k = i.bit_length()
+    if i == (1 << k) - 1:
+        return 1 << (k - 1)
+    return _luby(i - (1 << (k - 1)) + 1)
+
+
 def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400):
     """One random planar loop-free diagram with exactly n crossings.
 
-    Fast path: restartable random walks; fallback: randomized backtracking,
-    which always succeeds when any diagram exists.
+    Fast path: restartable random walks; fallback: randomized backtracking
+    with restarts, which always succeeds when any diagram exists.
     """
 
     def finish(alpha: tuple[int, ...]) -> TangleDiagram | None:
@@ -432,28 +443,41 @@ def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400
             if out is not None:
                 return out
 
-    # fallback: randomized backtracking over the canonical search tree
-    state = _Gluing(n, k)
+    # fallback: randomized backtracking over the walks' candidates, whose
+    # run time is heavy-tailed, so each run is cut off after
+    # RESTART_UNIT * luby(run) glue attempts and restarted with fresh
+    # randomness (Gomes, Selman & Kautz, AAAI 1998; Luby, Sinclair &
+    # Zuckerman, IPL 1993).  The cutoffs grow without bound, so a run that
+    # ends under its cutoff has searched the whole tree, and the search
+    # stays complete.
+    for run in count(1):
+        state = _Gluing(n, k)
+        left = RESTART_UNIT * _luby(run)
 
-    def rec():
-        d0 = state.pivot()
-        if d0 is None:
-            yield tuple(state.alpha)
-            return
-        cands = state.candidates(d0)
-        rng.shuffle(cands)
-        for b in cands:
-            undo = state.glue(d0, b)
-            if undo is None:
-                continue
-            yield from rec()
-            state.unglue(undo)
+        def rec():
+            nonlocal left
+            d0 = state.pivot()
+            if d0 is None:
+                yield tuple(state.alpha)
+                return
+            cands = state.candidates(d0, all_fresh=True)
+            rng.shuffle(cands)
+            for b in cands:
+                if not left:
+                    return
+                left -= 1
+                undo = state.glue(d0, b)
+                if undo is None:
+                    continue
+                yield from rec()
+                state.unglue(undo)
 
-    for alpha in rec():
-        out = finish(alpha)
-        if out is not None:
-            return out
-    raise RuntimeError("random diagram generation failed")
+        for alpha in rec():
+            out = finish(alpha)
+            if out is not None:
+                return out
+        if left:
+            raise RuntimeError("random diagram generation failed")
 
 
 # -- classification ----------------------------------------------------------

@@ -38,13 +38,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(data, out: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, out: str | None) -> None:
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", out)
 
 
 def _read_pd(path: str | None):
@@ -75,12 +78,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pjh(args) -> int:
-    text = emit_pd(pjh_tangle())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(emit_pd(pjh_tangle()), args.out)
     return EXIT_OK
 
 
@@ -179,12 +177,7 @@ def _cmd_reduce(args) -> int:
     d = _read_pd(args.pd)
     mode = "free" if args.free else "rel_boundary"
     small = simplify(d, mode)
-    text = emit_pd(small)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(emit_pd(small), args.out)
     sys.stderr.write(
         json.dumps(
             {"before": d.n, "after": small.n, "mode": mode, "target": args.target},

@@ -1,23 +1,29 @@
 """Link identification against a generated 2-bridge / torus fingerprint table.
 
-The table is built from reference diagrams: for every fraction P/q with
-2 <= P <= 10, the numerator closure of the alternating twist diagram of
-+-P/q is fingerprinted and mapped to the canonical 2-bridge class computed
-arithmetically.  Any fingerprint collision between distinct classes
-downgrades those entries, so a lookup can answer Unknown but never
-misidentify.  The bracket is not a complete invariant in general; at these
-sizes the build-time collision check is the honesty guarantee.
+The table is built from reference diagrams: for 2 <= P <= 10 and one q in
+each Schubert class {q, q^-1 mod P}, the numerator closure of the twist
+diagram of P/q is fingerprinted and mapped to its 2-bridge class computed
+arithmetically.  b(P, q) = b(P, q^-1), and N(-P/q) = N(P/(P - q)) as
+unoriented links, so the positive q cover every mirror class too.  Any
+fingerprint collision between distinct classes downgrades those entries,
+so a lookup can answer Unknown but never misidentify.  The bracket is not
+a complete invariant in general; at these sizes the build-time collision
+check is the honesty guarantee.
 
 The table is kept in classes by determinant.  det(L) = |<L>| at
 A = e^{i pi/4}, up to the normalizing unit, so a fingerprint fixes its
 determinant (`determinant`), and a query can only match references of its
 own class: the unknot is det 1, the 2-component unlink det 0, and b(P, q)
-det P, built from its 2 phi(P) references.  `identify_link` builds only
-the class of its query, and none when det > MAX_TABLE_P.  Equal
-fingerprints have equal determinants, so every collision lies inside one
-class, and the per-class collision check equals a check over the whole
-table.  Each reference's determinant is checked against its class at
-build time, so that lemma is verified rather than assumed.
+det P.  `identify_link` builds only the class of its query, and none when
+det > MAX_TABLE_P.  Equal fingerprints have equal determinants, so every
+collision lies inside one class, and the per-class collision check equals
+a check over the whole table.  Each reference's determinant is checked
+against its class at build time, so that lemma is verified rather than
+assumed.
+
+Fraction recovery uses the same lemma.  The 0/1, 1/0 and 1/1 closures of
+p/q (q >= 0) have determinants (|p|, q, |p + q|), and |p + q| = |p| + q
+exactly when p >= 0 or q = 0, so the triple names at most one fraction.
 """
 
 from __future__ import annotations
@@ -102,10 +108,8 @@ def _references(det: int):
         yield TangleDiagram(0, 0, (), (), (), ("o",)), LinkId("unknot")
     elif det <= MAX_TABLE_P:
         for q in range(1, det):
-            if gcd(det, q) != 1:
-                continue
-            for sign in (1, -1):
-                fr = reduce(sign * det, q)
+            if gcd(det, q) == 1 and q <= pow(q, -1, det):
+                fr = reduce(det, q)
                 diag = close_numerator(rational_tangle_diagram(fr))
                 yield diag, LinkId.from_two_bridge(numerator_closure(fr))
 
@@ -155,8 +159,7 @@ def identify_link(d: TangleDiagram) -> LinkId:
     hit = _class_table(determinant(fp)).get(fp)
     if hit is not None:
         return hit
-    comps = len(small.components)
-    return LinkId("unknown", components=comps, fingerprint=fp)
+    return LinkId("unknown", components=len(small.components), fingerprint=fp)
 
 
 # -- fraction recovery ---------------------------------------------------------
@@ -168,32 +171,27 @@ def _probes(d: TangleDiagram) -> tuple:
     return tuple(fingerprint(close_with(d, f)) for f in fillers)
 
 
+RECOVER_BOUND = 8
+
+
 @lru_cache(maxsize=None)
 def _closure_fingerprints(p: int, q: int) -> tuple:
     return _probes(rational_tangle_diagram(TangleFraction(p, q)))
 
 
-def recover_fraction(d: TangleDiagram, bound: int = 8) -> TangleFraction:
+def recover_fraction(d: TangleDiagram) -> TangleFraction:
     """Recover p/q of a rational 2-string tangle diagram by closure probes.
 
-    Compares the fingerprints of the 0/1, 1/0 and 1/1 closures against
-    reference twist diagrams for all reduced |p|,|q| <= bound.  Raises when
-    no candidate (or more than one) matches.
+    The determinants (a, b, c) of the probes name the one candidate p/b,
+    p = a if c == a + b else -a.  It is the answer when reduced, within
+    |p|,|q| <= RECOVER_BOUND, and its reference twist diagram has the same
+    three closure fingerprints; otherwise TangleError is raised.
     """
     if d.k != 4:
         raise TangleError("fraction recovery needs a 2-string tangle")
     probes = _probes(simplify(d, "rel_boundary"))
-    matches = []
-    candidates = [(1, 0), (0, 1)]
-    for q in range(1, bound + 1):
-        for p in range(-bound, bound + 1):
-            if p != 0 and gcd(abs(p), q) == 1:
-                candidates.append((p, q))
-    for p, q in candidates:
-        if _closure_fingerprints(p, q) == probes:
-            matches.append(TangleFraction(p, q))
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        raise TangleError(f"tangle does not match any p/q with |p|,|q| <= {bound}")
-    raise TangleError(f"ambiguous fraction recovery: {matches}")
+    a, b, c = (determinant(fp) for fp in probes)
+    p = a if c == a + b else -a
+    if gcd(a, b) == 1 and max(a, b) <= RECOVER_BOUND and _closure_fingerprints(p, b) == probes:
+        return TangleFraction(p, b)
+    raise TangleError(f"tangle does not match any p/q with |p|,|q| <= {RECOVER_BOUND}")

@@ -262,6 +262,21 @@ class TestGenerator:
                 assert (d.alpha, d.strings) == (want.alpha, want.strings)
                 assert rng.getstate() == oracle_rng.getstate()
 
+    @pytest.mark.parametrize("seed,n,k", [(1, 11, 4), (2, 12, 6)])
+    def test_random_diagram_past_the_walks(self, seed, n, k):
+        """Draws whose 400 walks all fail, so the restarted backtracking
+        fallback has to finish them."""
+        d = random_diagram(random.Random(seed), n, k=k)
+        assert d.validate() is d
+        assert (d.n, d.k, len(d.strings)) == (n, k, k // 2)
+        assert not d.loops and not d.free_loops
+
+    def test_random_diagram_fallback_alone(self):
+        rng = random.Random(7)
+        for n in range(11):
+            d = random_diagram(rng, n, k=rng.choice((2, 4, 6)), walk_tries=0)
+            assert d.validate() is d and d.n == n and not d.loops
+
 
 class TestDetectors:
     def test_trivial_split_and_parallel(self):

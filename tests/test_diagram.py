@@ -1,7 +1,7 @@
 """Diagram engine: construction, closures, invariants, identification."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -44,6 +44,7 @@ from tanglekit.diagram.build import continued_fraction, evaluate_continued_fract
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly
 from tanglekit.errors import BudgetExceeded, TangleError
+from tanglekit.experiments import build_standard
 from tanglekit.rational import TangleFraction, numerator_closure, reduce
 
 
@@ -282,6 +283,24 @@ class TestBracket:
             assert bracket_skein(d) == want
 
 
+def _inflate(rng, d, moves, cap):
+    """d after `moves` random R1/R2 moves, each made while it fits in `cap`
+    crossings; R2 pushes pick two strand edges on a common face."""
+    for _ in range(moves):
+        edges = [
+            pair
+            for face in d.faces
+            for pair in zip(face, face[1:])
+            if max(pair) < d.num_darts and d.alpha[pair[0]] != pair[1]
+        ]
+        if d.n + 2 <= cap and edges and rng.random() < 0.5:
+            d1, d2 = edges[rng.randrange(len(edges))]
+            d = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
+        elif d.num_darts and d.n + 1 <= cap:
+            d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
+    return d
+
+
 def _random_closed_diagram(seed, n, closure, moves, free, cap=10):
     """A random closed diagram with at most `cap` crossings.
 
@@ -296,18 +315,7 @@ def _random_closed_diagram(seed, n, closure, moves, free, cap=10):
     else:
         filler = TangleFraction(0, 1) if closure == "numerator" else TangleFraction(1, 0)
         d = close_with(random_diagram(rng, n, k=4), filler)
-    for _ in range(moves):
-        edges = [
-            pair
-            for face in d.faces
-            for pair in zip(face, face[1:])
-            if pair[1] < d.num_darts and d.alpha[pair[0]] != pair[1]
-        ]
-        if d.n + 2 <= cap and edges and rng.random() < 0.5:
-            d1, d2 = edges[rng.randrange(len(edges))]
-            d = apply_r2_add(d, d1, d2, over_first=rng.random() < 0.5)
-        elif d.num_darts and d.n + 1 <= cap:
-            d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
+    d = _inflate(rng, d, moves, cap)
     return TangleDiagram(
         d.n, 0, d.alpha, (), d.loops, d.free_loops + tuple(f"f{i}" for i in range(free))
     )
@@ -519,7 +527,21 @@ class TestDeterminantClasses:
         built = self._count_references(monkeypatch)
         lid = identify_link(d)
         assert (lid.kind, lid.two_bridge.p) == ("two_bridge", 7)
-        assert built == [7] * 12  # 2 phi(7) references
+        assert built == [7] * 4  # one reference per Schubert class: q = 1, 2, 3, 6
+
+    def test_table_is_built_from_one_reference_per_class(self, monkeypatch):
+        fingerprinted = []
+        real = identify.fingerprint
+
+        def counting(d):
+            fingerprinted.append(d)
+            return real(d)
+
+        identify._class_table.cache_clear()
+        identify._fingerprint_table.cache_clear()
+        monkeypatch.setattr(identify, "fingerprint", counting)
+        assert len(identify._fingerprint_table()) == 27
+        assert len(fingerprinted) == 27
 
     def test_identify_past_the_table_builds_nothing(self, monkeypatch):
         with open("tests/fixtures/torus14.pd", encoding="utf-8") as fh:
@@ -674,6 +696,91 @@ class TestRecoverFraction:
     def test_twist_oracle_for_add_vertical(self):
         d = vertical_twists(rational_tangle_diagram(reduce(-1, 2)), -1)
         assert recover_fraction(d) == reduce(-1, 3)
+
+
+_PROBE_FILLERS = (TangleFraction(0, 1), TangleFraction(1, 0), TangleFraction(1, 1))
+
+
+def _grid_probes(d):
+    return tuple(fingerprint(close_with(d, f)) for f in _PROBE_FILLERS)
+
+
+_GRID = [(1, 0), (0, 1)] + [
+    (p, q) for q in range(1, 9) for p in range(-8, 9) if p != 0 and gcd(abs(p), q) == 1
+]
+_GRID_REFERENCES = {}
+
+
+def _grid_recover(d):
+    """`recover_fraction` as it was: the closure probes compared against the
+    reference of every reduced |p|,|q| <= 8."""
+    if d.k != 4:
+        raise TangleError("fraction recovery needs a 2-string tangle")
+    probes = _grid_probes(simplify(d, "rel_boundary"))
+    if not _GRID_REFERENCES:
+        for p, q in _GRID:
+            _GRID_REFERENCES[p, q] = _grid_probes(rational_tangle_diagram(TangleFraction(p, q)))
+    matches = [TangleFraction(p, q) for p, q in _GRID if _GRID_REFERENCES[p, q] == probes]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise TangleError("tangle does not match any p/q with |p|,|q| <= 8")
+    raise TangleError(f"ambiguous fraction recovery: {matches}")
+
+
+def _outcome(recover, d):
+    try:
+        return recover(d)
+    except TangleError as e:
+        return type(e), str(e)
+
+
+class TestRecoverFractionOracle:
+    """`recover_fraction` names its one candidate by closure determinants;
+    the grid scan it replaced is the oracle."""
+
+    def _agree(self, d):
+        want = _outcome(_grid_recover, d)
+        assert _outcome(recover_fraction, d) == want
+        return want
+
+    def test_grid_closure_determinants(self):
+        triples = set()
+        for p, q in _GRID:
+            d = rational_tangle_diagram(TangleFraction(p, q))
+            triple = tuple(determinant(fp) for fp in _grid_probes(d))
+            assert triple == (abs(p), q, abs(p + q))
+            triples.add(triple)
+        assert len(_GRID) == len(triples) == 88
+
+    def test_grid_plain_and_inflated(self):
+        rng = random.Random(13)
+        for p, q in _GRID:
+            fr = TangleFraction(p, q)
+            d = rational_tangle_diagram(fr)
+            assert self._agree(d) == fr
+            assert self._agree(_inflate(rng, d, 3, 12)) == fr
+
+    def test_past_the_grid_same_refusal(self):
+        refused = 0
+        for q in range(1, 14):
+            for p in range(-13, 14):
+                if max(abs(p), q) > 8 and gcd(abs(p), q) == 1:
+                    assert isinstance(self._agree(rational_tangle_diagram(reduce(p, q))), tuple)
+                    refused += 1
+        assert refused == 144
+
+    def test_caps_and_removals_of_standard_tangles(self):
+        for n1, n2, n3 in product(range(-3, 4), repeat=3):
+            t = build_standard(n1, n2, n3)
+            for i, label in zip((1, 2, 3), ("s12", "s23", "s31")):
+                self._agree(cap(t, i))
+                self._agree(remove_string(t, label))
+
+    def test_random_two_string_tangles(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            self._agree(random_diagram(rng, rng.randint(0, 8), k=4))
 
 
 # One closed component L, linked through s12 only.
