@@ -414,8 +414,14 @@ def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400
     """One random planar loop-free diagram with exactly n crossings.
 
     Fast path: restartable random walks; fallback: randomized backtracking
-    with restarts, which always succeeds when any diagram exists.
+    with restarts, which always succeeds when any diagram exists.  Needs
+    n >= 0 and an even k >= 2: a closed (k = 0) draw has no boundary face
+    to start from, and an odd k leaves an endpoint unmatched.
     """
+    if n < 0:
+        raise TangleError(f"random_diagram needs n >= 0 crossings, got {n}")
+    if k < 2 or k % 2:
+        raise TangleError(f"random_diagram needs an even k >= 2 endpoints, got {k}")
 
     def finish(alpha: tuple[int, ...]) -> TangleDiagram | None:
         variant = _variant(alpha, n, rng.randrange(1 << n))

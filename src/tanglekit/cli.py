@@ -5,8 +5,14 @@ Every run writes a machine-readable report (JSON with sorted keys, so
 identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
 input file, malformed or non-planar PD text, malformed or wrongly shaped
-JSON, a config value that is not a JSON integer, an unknown fact atom and
-a bad TANGLEKIT_BUDGET), 3 budget exceeded.
+JSON, a config value that is not a JSON integer, an unknown fact atom, a
+negative --max-crossings, a --jobs below 1 and a bad TANGLEKIT_BUDGET),
+3 budget exceeded.
+
+Each subcommand imports the modules it runs inside its handler.  A cold
+process without bytecode caches (PYTHONDONTWRITEBYTECODE, a read-only
+install) compiles every module it imports, and compiling all of them took
+longer than most commands' own work.
 """
 
 from __future__ import annotations
@@ -16,11 +22,6 @@ import json
 import os
 import sys
 
-from . import census
-from .diagram.identify import identify_link
-from .diagram.invariants import linking_matrix
-from .diagram.pdcode import emit_pd, parse_pd
-from .diagram.rewrite import simplify
 from .errors import (
     BudgetExceeded,
     NoSolution,
@@ -29,8 +30,6 @@ from .errors import (
     UnsupportedCase,
     UsageError,
 )
-from .experiments import ExperimentSystem, pjh_tangle, solve_system, verify_solution_tangle
-from .graphdeduce import FactBase, deduce
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,6 +50,8 @@ def _emit(data, out: str | None) -> None:
 
 
 def _read_pd(path: str | None):
+    from .diagram.pdcode import parse_pd
+
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -63,6 +64,8 @@ def _read_pd(path: str | None):
 
 
 def _cmd_solve(args) -> int:
+    from .experiments import ExperimentSystem, solve_system
+
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             system = ExperimentSystem.from_dict(json.load(fh))
@@ -78,11 +81,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_pjh(args) -> int:
+    from .diagram.pdcode import emit_pd
+    from .experiments import pjh_tangle
+
     _write(emit_pd(pjh_tangle()), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from .experiments import verify_solution_tangle
+
     d = _read_pd(args.pd)
     report = verify_solution_tangle(d, in_trans=args.in_trans, L=args.L, Lt=args.Lt)
     _emit(report.as_dict(), args.out)
@@ -90,6 +98,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    from .diagram.identify import identify_link
+
     d = _read_pd(args.pd)
     lid = identify_link(d)
     data = {"link": str(lid), "kind": lid.kind}
@@ -106,6 +116,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_lk(args) -> int:
+    from .diagram.invariants import linking_matrix
+
     d = _read_pd(args.pd)
     matrix = linking_matrix(d)
     data = {f"{a}|{b}": v for (a, b), v in sorted(matrix.items())}
@@ -114,12 +126,22 @@ def _cmd_lk(args) -> int:
 
 
 def _level_worker(payload):
+    from . import census
+
     n, extended, jobs, worker = payload
     rep = census.classify_level(n, extended=extended, shard=(jobs, worker))
     return rep.as_dict()
 
 
 def _cmd_enumerate(args) -> int:
+    from . import census
+
+    if args.max_crossings < 0:
+        raise UsageError(
+            f"--max-crossings must be a non-negative integer, got {args.max_crossings}"
+        )
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     extended = args.extended
     census.check_level_gate(args.max_crossings, extended)
     levels = range(args.max_crossings + 1)
@@ -152,6 +174,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_deduce(args) -> int:
+    from .graphdeduce import FactBase, deduce
+
     with open(args.facts, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("facts", []), list):
@@ -174,6 +198,9 @@ def _cmd_deduce(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .diagram.pdcode import emit_pd
+    from .diagram.rewrite import simplify
+
     d = _read_pd(args.pd)
     mode = "free" if args.free else "rel_boundary"
     small = simplify(d, mode)

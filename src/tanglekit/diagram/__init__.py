@@ -1,74 +1,55 @@
-"""Planar diagram engine: construction, surgery, invariants, rewriting."""
+"""Planar diagram engine: construction, surgery, invariants, rewriting.
 
-from .build import (
-    horizontal_twists,
-    infinity_tangle,
-    rational_tangle_diagram,
-    trivial_tangle,
-    vertical_twists,
-    zero_tangle,
-)
-from .core import Component, TangleDiagram, Wiring
-from .identify import LinkId, identify_link, recover_fraction
-from .invariants import (
-    bracket_both,
-    bracket_skein,
-    bracket_state_sum,
-    crossing_budget,
-    fingerprint,
-    linking_matrix,
-    linking_number,
-    writhe,
-)
-from .pdcode import emit_pd, parse_pd
-from .rewrite import (
-    apply_r1_add,
-    apply_r2_add,
-    apply_r3,
-    r3_triangles,
-    simplify,
-)
-from .surgery import (
-    add_boundary_twists,
-    cap,
-    close_numerator,
-    close_with,
-    close_with_x_arcs,
-    remove_string,
-)
+The re-exports below resolve on first use (PEP 562): ``from
+tanglekit.diagram import simplify`` imports ``rewrite`` and its own
+imports, not every submodule, so a command pays to compile only the
+submodules it runs.
+"""
 
-__all__ = [
-    "Component",
-    "LinkId",
-    "TangleDiagram",
-    "Wiring",
-    "add_boundary_twists",
-    "apply_r1_add",
-    "apply_r2_add",
-    "apply_r3",
-    "bracket_both",
-    "bracket_skein",
-    "bracket_state_sum",
-    "cap",
-    "close_numerator",
-    "close_with",
-    "close_with_x_arcs",
-    "crossing_budget",
-    "emit_pd",
-    "fingerprint",
-    "horizontal_twists",
-    "identify_link",
-    "infinity_tangle",
-    "linking_matrix",
-    "linking_number",
-    "parse_pd",
-    "r3_triangles",
-    "rational_tangle_diagram",
-    "recover_fraction",
-    "remove_string",
-    "simplify",
-    "trivial_tangle",
-    "vertical_twists",
-    "writhe",
-    "zero_tangle",
-]
+from importlib import import_module
+
+_SUBMODULE = {
+    "Component": "core",
+    "LinkId": "identify",
+    "TangleDiagram": "core",
+    "Wiring": "core",
+    "add_boundary_twists": "surgery",
+    "apply_r1_add": "rewrite",
+    "apply_r2_add": "rewrite",
+    "apply_r3": "rewrite",
+    "bracket_both": "invariants",
+    "bracket_skein": "invariants",
+    "bracket_state_sum": "invariants",
+    "cap": "surgery",
+    "close_numerator": "surgery",
+    "close_with": "surgery",
+    "close_with_x_arcs": "surgery",
+    "crossing_budget": "invariants",
+    "emit_pd": "pdcode",
+    "fingerprint": "invariants",
+    "horizontal_twists": "build",
+    "identify_link": "identify",
+    "infinity_tangle": "build",
+    "linking_matrix": "invariants",
+    "linking_number": "invariants",
+    "parse_pd": "pdcode",
+    "r3_triangles": "rewrite",
+    "rational_tangle_diagram": "build",
+    "recover_fraction": "identify",
+    "remove_string": "surgery",
+    "simplify": "rewrite",
+    "trivial_tangle": "build",
+    "vertical_twists": "build",
+    "writhe": "invariants",
+    "zero_tangle": "build",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{submodule}", __name__), name)

@@ -54,9 +54,12 @@ def crossing_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise UsageError(f"TANGLEKIT_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise UsageError(f"TANGLEKIT_BUDGET must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def _require_closed(d: TangleDiagram) -> None:

@@ -12,16 +12,18 @@ experiment and index 3 the attL-site experiment.  Table defaults encode
 four right-handed (2,4) in cis deletion products, trefoil / 5-torus-knot
 inversion products, a (2,2) in trans deletion and a trefoil in trans
 inversion.
+
+The equation system is solved in exact fraction arithmetic alone, so the
+diagram imports sit inside the functions that build or verify diagrams:
+`solve` then loads `rational` and none of the diagram engine, whose
+compilation would otherwise dominate a cold `tanglekit solve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .diagram.build import trivial_tangle
-from .diagram.core import TangleDiagram
-from .diagram.identify import LinkId, identify_link
-from .diagram.surgery import add_boundary_twists, cap, close_with, remove_string
 from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (
     TangleFraction,
@@ -33,6 +35,10 @@ from .rational import (
     solve_inversion_v,
     torus_two_bridge,
 )
+
+if TYPE_CHECKING:
+    from .diagram.core import TangleDiagram
+    from .diagram.identify import LinkId
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,9 @@ def build_standard(n1: int, n2: int, n3: int) -> TangleDiagram:
     Capping at c_i yields the vertical tangle 1/(n_j + n_k); the reference
     solution tangle is build_standard(-2, -2, -2).
     """
+    from .diagram.build import trivial_tangle
+    from .diagram.surgery import add_boundary_twists
+
     d = trivial_tangle()
     for i, n in ((1, n1), (2, n2), (3, n3)):
         d = add_boundary_twists(d, i, n)
@@ -260,6 +269,9 @@ class VerificationReport:
 def _check_closure(
     name: str, diagram: TangleDiagram, filler: TangleFraction, expect: LinkId
 ) -> EquationCheck:
+    from .diagram.identify import identify_link
+    from .diagram.surgery import close_with
+
     observed = identify_link(close_with(diagram, filler))
     if observed.kind == "unknown":
         return EquationCheck(name, str(expect), str(observed), False, inconclusive=True)
@@ -277,6 +289,9 @@ def verify_solution_tangle(
     Identification failures (fingerprint out of table) are reported as
     inconclusive, not as refutations.
     """
+    from .diagram.identify import LinkId
+    from .diagram.surgery import cap, remove_string
+
     if d.k != 6:
         raise TangleError("verify_solution_tangle needs a 3-string tangle")
     report = VerificationReport()

@@ -271,6 +271,12 @@ class TestGenerator:
         assert (d.n, d.k, len(d.strings)) == (n, k, k // 2)
         assert not d.loops and not d.free_loops
 
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 3), (-1, 4)])
+    def test_random_diagram_refuses_a_bad_shape(self, n, k):
+        """A closed or odd-k draw, or a negative n, is refused up front."""
+        with pytest.raises(TangleError, match="^random_diagram needs [^\n]*$"):
+            random_diagram(random.Random(0), n, k=k)
+
     def test_random_diagram_fallback_alone(self):
         rng = random.Random(7)
         for n in range(11):

@@ -125,6 +125,7 @@ class TestEnumerate:
         [
             ["--max-crossings", "6"],
             ["--max-crossings", "6", "--jobs", "2"],
+            ["--max-crossings", "8"],
             ["--max-crossings", "8", "--extended"],
         ],
     )
@@ -197,6 +198,20 @@ class TestBudget:
         err = capsys.readouterr().err
         assert err.startswith("error: TANGLEKIT_BUDGET") and err.count("\n") == 1
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        from tanglekit.diagram import close_numerator, emit_pd, rational_tangle_diagram
+        from tanglekit.rational import reduce
+
+        pd = tmp_path / "trefoil.pd"
+        pd.write_text(emit_pd(close_numerator(rational_tangle_diagram(reduce(3, 1)))))
+        monkeypatch.setenv("TANGLEKIT_BUDGET", "-1")
+        assert main(["identify", "--pd", str(pd)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: TANGLEKIT_BUDGET must be a non-negative integer, got '-1'\n"
+        # a zero budget is valid: it refuses every crossing
+        monkeypatch.setenv("TANGLEKIT_BUDGET", "0")
+        assert main(["identify", "--pd", str(pd)]) == 3
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -220,6 +235,9 @@ class TestBadInput:
             ["solve", "--config", "{boolean}"],
             ["identify", "--pd", "tests/fixtures/genus1.pd"],
             ["reduce", "--pd", "{truncated}"],
+            ["enumerate", "--max-crossings", "-1"],
+            ["enumerate", "--max-crossings", "1", "--jobs", "0"],
+            ["enumerate", "--max-crossings", "1", "--jobs", "-3"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):

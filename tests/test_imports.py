@@ -1,0 +1,89 @@
+"""Cold start: each command imports only the tanglekit modules it runs.
+
+Every case runs in a fresh interpreter, because the package's modules are
+already loaded in the test process.
+"""
+
+import json
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import tanglekit.diagram
+
+BASE = {"tanglekit", "tanglekit.cli", "tanglekit.errors"}
+DIAGRAM = {"tanglekit.diagram", "tanglekit.diagram.core", "tanglekit.diagram.pdcode"}
+
+RUN_MAIN = """
+import contextlib, io, json, sys
+import tanglekit.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = tanglekit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tanglekit"))]))
+"""
+
+
+def _loaded(script, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv,adds",
+    [
+        ([], set()),
+        (["solve"], {"tanglekit.experiments", "tanglekit.rational"}),
+        (["deduce", "--facts", "tests/fixtures/facts_empty.json"], {"tanglekit.graphdeduce"}),
+        (
+            ["enumerate", "--max-crossings", "1"],
+            {"tanglekit.census", "tanglekit.diagram.rewrite"} | DIAGRAM,
+        ),
+        (
+            ["lk", "--pd", "tests/fixtures/pjh_xarc.pd"],
+            {"tanglekit.diagram.invariants", "tanglekit._poly"} | DIAGRAM,
+        ),
+        (
+            ["reduce", "--pd", "tests/fixtures/figure_eight.pd"],
+            {"tanglekit.diagram.rewrite"} | DIAGRAM,
+        ),
+    ],
+    ids=["import", "solve", "deduce", "enumerate", "lk", "reduce"],
+)
+def test_command_loads_only_its_modules(argv, adds):
+    code, loaded = _loaded(RUN_MAIN, *argv)
+    assert code == 0
+    assert set(loaded) == BASE | adds
+
+
+def test_one_reexport_loads_one_submodule():
+    loaded = _loaded(
+        "import json, sys\n"
+        "from tanglekit.diagram import simplify\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tanglekit'))))"
+    )
+    assert set(loaded) == {
+        "tanglekit",
+        "tanglekit.errors",
+        "tanglekit.diagram",
+        "tanglekit.diagram.core",
+        "tanglekit.diagram.rewrite",
+    }
+
+
+def test_reexports_are_the_defining_objects():
+    for name in tanglekit.diagram.__all__:
+        obj = getattr(tanglekit.diagram, name)
+        assert obj.__module__.startswith("tanglekit.diagram."), name
+        assert getattr(import_module(obj.__module__), name) is obj, name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tanglekit.diagram.no_such_name
+    with pytest.raises(ImportError):
+        from tanglekit.diagram import no_such_name  # noqa: F401
