@@ -17,7 +17,6 @@ _SUBMODULE = {
     "apply_r1_add": "rewrite",
     "apply_r2_add": "rewrite",
     "apply_r3": "rewrite",
-    "bracket_both": "invariants",
     "bracket_skein": "invariants",
     "bracket_state_sum": "invariants",
     "cap": "surgery",
@@ -27,6 +26,7 @@ _SUBMODULE = {
     "crossing_budget": "invariants",
     "emit_pd": "pdcode",
     "fingerprint": "invariants",
+    "goeritz_determinant": "invariants",
     "horizontal_twists": "build",
     "identify_link": "identify",
     "infinity_tangle": "build",

@@ -14,16 +14,22 @@ The table is kept in classes by determinant.  det(L) = |<L>| at
 A = e^{i pi/4}, up to the normalizing unit, so a fingerprint fixes its
 determinant (`determinant`), and a query can only match references of its
 own class: the unknot is det 1, the 2-component unlink det 0, and b(P, q)
-det P.  `identify_link` builds only the class of its query, and none when
-det > MAX_TABLE_P.  Equal fingerprints have equal determinants, so every
-collision lies inside one class, and the per-class collision check equals
-a check over the whole table.  Each reference's determinant is checked
-against its class at build time, so that lemma is verified rather than
-assumed.
+det P.  Equal fingerprints have equal determinants, so every collision
+lies inside one class, and the per-class collision check equals a check
+over the whole table.  Each reference's determinant is checked against its
+class at build time, so that lemma is verified rather than assumed.
+
+Identification is determinant first.  `identify_link` takes the Goeritz
+determinant of its simplified query, a polynomial-time determinant of a
+small integer matrix, before any bracket: past MAX_TABLE_P it answers
+Unknown with no bracket and no class build, and otherwise it fingerprints
+the query once and looks it up in the class of that determinant only.
 
 Fraction recovery uses the same lemma.  The 0/1, 1/0 and 1/1 closures of
 p/q (q >= 0) have determinants (|p|, q, |p + q|), and |p + q| = |p| + q
-exactly when p >= 0 or q = 0, so the triple names at most one fraction.
+exactly when p >= 0 or q = 0, so the triple, read off the closures'
+Goeritz matrices, names at most one fraction; brackets are computed only
+to certify it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from ..rational import (
 )
 from .build import rational_tangle_diagram
 from .core import TangleDiagram
-from .invariants import fingerprint
+from .invariants import _check_budget, determinant, fingerprint, goeritz_determinant
 from .rewrite import simplify
 from .surgery import close_numerator, close_with
 
@@ -54,7 +60,6 @@ class LinkId:
     two_bridge: TwoBridgeLink | None = None
     torus: int | None = None
     components: int | None = None
-    fingerprint: tuple | None = None
 
     @classmethod
     def from_two_bridge(cls, tb: TwoBridgeLink) -> "LinkId":
@@ -82,24 +87,6 @@ class LinkId:
 MAX_TABLE_P = 10
 
 
-def determinant(fp: tuple) -> int:
-    """det of the link with fingerprint fp: |<L>| at A = e^{i pi/4}.
-
-    The first normalized bracket is evaluated exactly in Z[zeta8] as four
-    integer coordinates over 1, zeta8, zeta8^2, zeta8^3 (zeta8^4 = -1).
-    Every exponent of a link's bracket has one residue mod 4, so the value
-    is a unit times det and at most one coordinate is non-zero; two or
-    more mean a corrupt fingerprint, and TangleError is raised.
-    """
-    coords = [0, 0, 0, 0]
-    for e, c in fp[1][0]:
-        coords[e % 4] += c if e % 8 < 4 else -c
-    nonzero = [x for x in coords if x]
-    if len(nonzero) > 1:
-        raise TangleError(f"bracket at e^(i pi/4) is not a unit times an integer: {coords}")
-    return abs(nonzero[0]) if nonzero else 0
-
-
 def _references(det: int):
     """(diagram, LinkId) of every reference of determinant det."""
     if det == 0:
@@ -118,8 +105,9 @@ def _references(det: int):
 def _class_table(det: int) -> dict[tuple, LinkId]:
     """fingerprint -> LinkId for the references of determinant det.
 
-    Unbounded: one entry per determinant a process meets, and each past
-    MAX_TABLE_P is an empty dict built with no reference.
+    `identify_link` asks only for det <= MAX_TABLE_P, so the cache holds at
+    most MAX_TABLE_P + 1 classes, each built the first time a query of
+    that determinant meets it.
     """
     table: dict[tuple, LinkId] = {}
     collided: set[tuple] = set()
@@ -151,24 +139,33 @@ def _fingerprint_table() -> dict[tuple, LinkId]:
 
 
 def identify_link(d: TangleDiagram) -> LinkId:
-    """Identify a closed diagram by its fingerprint; Unknown when unmatched."""
+    """Identify a closed diagram by its fingerprint; Unknown when unmatched.
+
+    The crossing budget is checked first, then the Goeritz determinant:
+    past MAX_TABLE_P no bracket is computed.
+    """
     if d.k != 0:
         raise TangleError("identify_link needs a closed diagram")
     small = simplify(d, "free")
-    fp = fingerprint(small)
-    hit = _class_table(determinant(fp)).get(fp)
-    if hit is not None:
-        return hit
-    return LinkId("unknown", components=len(small.components), fingerprint=fp)
+    _check_budget(small)
+    det = goeritz_determinant(small)
+    if det <= MAX_TABLE_P:
+        fp = fingerprint(small, det)
+        hit = _class_table(det).get(fp)
+        if hit is not None:
+            return hit
+    return LinkId("unknown", components=len(small.components))
 
 
 # -- fraction recovery ---------------------------------------------------------
 
 
+_FILLERS = (TangleFraction(0, 1), TangleFraction(1, 0), reduce(1, 1))
+
+
 def _probes(d: TangleDiagram) -> tuple:
     """Fingerprints of the 0/1, 1/0 and 1/1 closures of a 2-string tangle."""
-    fillers = (TangleFraction(0, 1), TangleFraction(1, 0), reduce(1, 1))
-    return tuple(fingerprint(close_with(d, f)) for f in fillers)
+    return tuple(fingerprint(close_with(d, f)) for f in _FILLERS)
 
 
 RECOVER_BOUND = 8
@@ -182,16 +179,24 @@ def _closure_fingerprints(p: int, q: int) -> tuple:
 def recover_fraction(d: TangleDiagram) -> TangleFraction:
     """Recover p/q of a rational 2-string tangle diagram by closure probes.
 
-    The determinants (a, b, c) of the probes name the one candidate p/b,
+    The Goeritz determinants (a, b, c) of the 0/1, 1/0 and 1/1 closures,
+    each within the crossing budget, name the one candidate p/b,
     p = a if c == a + b else -a.  It is the answer when reduced, within
     |p|,|q| <= RECOVER_BOUND, and its reference twist diagram has the same
-    three closure fingerprints; otherwise TangleError is raised.
+    three closure fingerprints; otherwise TangleError is raised, with no
+    bracket computed when there is no candidate to certify.
     """
     if d.k != 4:
         raise TangleError("fraction recovery needs a 2-string tangle")
-    probes = _probes(simplify(d, "rel_boundary"))
-    a, b, c = (determinant(fp) for fp in probes)
+    small = simplify(d, "rel_boundary")
+    closures = [close_with(small, f) for f in _FILLERS]
+    for closed in closures:
+        _check_budget(closed)
+    dets = [goeritz_determinant(closed) for closed in closures]
+    a, b, c = dets
     p = a if c == a + b else -a
-    if gcd(a, b) == 1 and max(a, b) <= RECOVER_BOUND and _closure_fingerprints(p, b) == probes:
-        return TangleFraction(p, b)
+    if gcd(a, b) == 1 and max(a, b) <= RECOVER_BOUND:
+        probes = tuple(fingerprint(closed, det) for closed, det in zip(closures, dets))
+        if _closure_fingerprints(p, b) == probes:
+            return TangleFraction(p, b)
     raise TangleError(f"tangle does not match any p/q with |p|,|q| <= {RECOVER_BOUND}")

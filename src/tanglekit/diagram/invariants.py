@@ -17,8 +17,15 @@ Two independent Kauffman bracket implementations are kept side by side:
   rather than 2^n (the local contraction of Bar-Natan, "Fast Khovanov
   homology computations", applied to Kauffman's state model).
 
-Both build a single polynomial at the end.  `identify`-level code runs
-both and refuses to answer when they disagree.
+Both build a single polynomial at the end.  Production runs only the
+contraction; `bracket_state_sum` is its oracle in the tests.  Each
+fingerprint is cross-checked instead against `goeritz_determinant`, an
+exact integer determinant of the diagram's Goeritz matrix (Goeritz 1933;
+Gordon & Litherland 1978), which must equal |<D>| at A = e^{i pi/4}
+(`determinant`).  The check is polynomial and independent of the
+contraction, but it compares the bracket at one point only: a corruption
+that keeps |<D>(e^{i pi/4})|, such as a mirrored bracket or a state with
+two or more loops (delta vanishes there), goes unseen.
 
 Writhe, linking numbers and the fingerprint share one sign rule,
 `_signed_pairs`, which signs each crossing of `TangleDiagram.crossing_strands`
@@ -343,15 +350,6 @@ def bracket_skein(d: TangleDiagram) -> LaurentPoly:
     )
 
 
-def bracket_both(d: TangleDiagram) -> LaurentPoly:
-    """Run both bracket implementations and insist they agree."""
-    s = bracket_state_sum(d)
-    k = bracket_skein(d)
-    if s != k:
-        raise TangleError("bracket implementations disagree; diagram corrupt")
-    return s
-
-
 # -- orientations, writhe, linking --------------------------------------------
 
 
@@ -400,13 +398,128 @@ def linking_matrix(d: TangleDiagram) -> dict[tuple[str, str], int]:
     return {(la, lb): linking_number(d, la, lb) for la, lb in combinations(labels, 2)}
 
 
+# -- determinants -------------------------------------------------------------
+
+
+def determinant(fp: tuple) -> int:
+    """det of the link with fingerprint fp: |<L>| at A = e^{i pi/4}.
+
+    The first normalized bracket is evaluated exactly in Z[zeta8] as four
+    integer coordinates over 1, zeta8, zeta8^2, zeta8^3 (zeta8^4 = -1).
+    Every exponent of a link's bracket has one residue mod 4, so the value
+    is a unit times det and at most one coordinate is non-zero; two or
+    more mean a corrupt fingerprint, and TangleError is raised.
+    """
+    coords = [0, 0, 0, 0]
+    for e, c in fp[1][0]:
+        coords[e % 4] += c if e % 8 < 4 else -c
+    nonzero = [x for x in coords if x]
+    if len(nonzero) > 1:
+        raise TangleError(f"bracket at e^(i pi/4) is not a unit times an integer: {coords}")
+    return abs(nonzero[0]) if nonzero else 0
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free
+    elimination: every division is exact); m is overwritten."""
+    size = len(m)
+    sign = prev = 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, size):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if size else 1
+
+
+def goeritz_determinant(d: TangleDiagram) -> int:
+    """det of a closed diagram's link from its Goeritz matrix, exactly.
+
+    The faces are checkerboard-coloured: the two faces beside an arc, those
+    of its darts x and alpha[x], get opposite colours.  The corner between
+    slots s and s+1 of crossing c lies in the face of dart 4c + (s+1) % 4,
+    so opposite corners share a colour, and the white corners of c are
+    either (0,1)/(2,3), with eta = +1, or (1,2)/(3,0), with eta = -1 (the
+    under-strand holds slots 0 and 2).  The Goeritz matrix on the white
+    faces has -sum eta over the crossings where faces i != j meet, and row
+    sums 0; det is |det| of any one minor.  The smaller colour class is
+    taken as white, which gives the smaller matrix.
+
+    A split diagram has det 0: more than one piece (the colouring from one
+    face does not reach every face), or a free loop beside crossings.  With
+    no crossings, one free loop is the unknot (det 1) and two or more are
+    an unlink (det 0).  A face pair left with one colour means the map is
+    not planar, and TangleError is raised.
+    """
+    _require_closed(d)
+    n = d.n
+    if n == 0:
+        return 1 if len(d.free_loops) <= 1 else 0
+    if d.free_loops:
+        return 0
+    faces = d.faces
+    alpha = d.alpha
+    face_of = [0] * (4 * n)
+    for f, face in enumerate(faces):
+        for x in face:
+            face_of[x] = f
+    colour = [-1] * len(faces)
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        f = stack.pop()
+        for x in faces[f]:
+            g = face_of[alpha[x]]
+            if colour[g] < 0:
+                colour[g] = 1 - colour[f]
+                stack.append(g)
+            elif colour[g] == colour[f]:
+                raise TangleError("faces admit no checkerboard colouring; the map is not planar")
+    if -1 in colour:
+        return 0
+    white = 0 if 2 * colour.count(0) <= len(faces) else 1
+    index = {}
+    for f, col in enumerate(colour):
+        if col == white:
+            index[f] = len(index)
+    size = len(index)
+    g = [[0] * size for _ in range(size)]
+    for c in range(n):
+        corner = face_of[4 * c + 1]
+        if colour[corner] == white:
+            i, j, eta = index[corner], index[face_of[4 * c + 3]], 1
+        else:
+            i, j, eta = index[face_of[4 * c + 2]], index[face_of[4 * c]], -1
+        if i != j:
+            g[i][j] -= eta
+            g[j][i] -= eta
+            g[i][i] += eta
+            g[j][j] += eta
+    return abs(_bareiss([row[:-1] for row in g[:-1]]))
+
+
 # -- fingerprints --------------------------------------------------------------
 
 
-def fingerprint(d: TangleDiagram) -> tuple:
-    """Orientation-free normalized-bracket fingerprint plus component count."""
+def fingerprint(d: TangleDiagram, det: int | None = None) -> tuple:
+    """Orientation-free normalized-bracket fingerprint plus component count.
+
+    The bracket comes from `bracket_skein` alone and is cross-checked:
+    TangleError is raised unless its determinant equals d's Goeritz
+    determinant, which a caller that has it already passes as `det`.
+    """
     _require_closed(d)
-    br = bracket_both(d)
+    br = bracket_skein(d)
     self_w, pairs = _signed_pairs(d)
     m = len(d.components)
     polys = set()
@@ -419,4 +532,12 @@ def fingerprint(d: TangleDiagram) -> tuple:
             # (-A^3)^{-w}
             norm = (MINUS_A_INV_CUBED if w >= 0 else MINUS_A_CUBED).pow(abs(w))
             polys.add((br * norm).key())
-    return (m, tuple(sorted(polys)))
+    fp = (m, tuple(sorted(polys)))
+    if det is None:
+        det = goeritz_determinant(d)
+    got = determinant(fp)
+    if got != det:
+        raise TangleError(
+            f"bracket determinant {got} differs from the Goeritz determinant {det}; diagram corrupt"
+        )
+    return fp

@@ -15,7 +15,6 @@ from tanglekit.diagram import (
     add_boundary_twists,
     apply_r1_add,
     apply_r2_add,
-    bracket_both,
     bracket_skein,
     bracket_state_sum,
     cap,
@@ -24,6 +23,7 @@ from tanglekit.diagram import (
     close_with_x_arcs,
     emit_pd,
     fingerprint,
+    goeritz_determinant,
     horizontal_twists,
     identify_link,
     infinity_tangle,
@@ -39,7 +39,7 @@ from tanglekit.diagram import (
     writhe,
     zero_tangle,
 )
-from tanglekit.diagram import identify
+from tanglekit.diagram import identify, invariants
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly
@@ -325,6 +325,11 @@ def _walk_state_sum(d):
     """The 2^n state sum in Gray-code order, counting each state's loops by
     walking every dart, as the bracket was written before its loop count
     became incremental; kept as an oracle."""
+    return _histogram_poly(_walk_histogram(d))
+
+
+def _walk_histogram(d):
+    """{(A-exponent, loops): number of states} over all 2^n states."""
     n = d.n
     nd = 4 * n
     alpha = d.alpha
@@ -356,7 +361,7 @@ def _walk_state_sum(d):
                     break
         key = (2 * a_count - n, loops)
         hist[key] = hist.get(key, 0) + 1
-    return _histogram_poly(hist)
+    return hist
 
 
 def _union_find_state_sum(d):
@@ -399,6 +404,125 @@ def _union_find_state_sum(d):
         term = LaurentPoly.monomial(a_count - (n - a_count))
         total = total + term * LOOP_FACTOR.pow(loops - 1)
     return total
+
+
+def _read_fixture(name):
+    with open(f"tests/fixtures/{name}.pd", encoding="utf-8") as fh:
+        return parse_pd(fh.read())
+
+
+def _disjoint_union(d1, d2):
+    """Two closed diagrams side by side: one diagram of two pieces."""
+    shift = 4 * d1.n
+    return TangleDiagram(
+        d1.n + d2.n,
+        0,
+        d1.alpha + tuple(x + shift for x in d2.alpha),
+        (),
+        d1.loops + tuple((f"b{label}", x + shift) for label, x in d2.loops),
+    )
+
+
+class TestGoeritzDeterminant:
+    """The production cross-check equals the determinant of the bracket
+    from the 2^n state sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 10),
+        st.sampled_from(["numerator", "denominator", "x_arcs"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    )
+    def test_matches_state_sum_determinant(self, seed, n, closure, moves, free):
+        d = _random_closed_diagram(seed, n, closure, moves, free)
+        assert goeritz_determinant(d) == determinant(_oracle_fingerprint(d))
+
+    @pytest.mark.parametrize(
+        "name,det",
+        [
+            ("torus14", 14),
+            ("figure_eight", 5),
+            ("closure_7_3_inflated", 7),
+            ("closure_13_5_inflated", 13),
+        ],
+    )
+    def test_fixtures(self, name, det):
+        d = _read_fixture(name)
+        assert goeritz_determinant(d) == det == determinant(_oracle_fingerprint(d))
+
+    def test_crossing_free_references(self):
+        assert goeritz_determinant(TangleDiagram(0, 0, (), (), (), ("o",))) == 1
+        assert goeritz_determinant(TangleDiagram(0, 0, (), (), (), ("o1", "o2"))) == 0
+        assert goeritz_determinant(TangleDiagram(0, 0, (), (), (), ("o1", "o2", "o3"))) == 0
+
+    def test_split_diagrams(self):
+        trefoil = close_numerator(rational_tangle_diagram(reduce(3, 1)))
+        assert goeritz_determinant(trefoil) == 3
+        with_loop = TangleDiagram(
+            trefoil.n, 0, trefoil.alpha, (), trefoil.loops, trefoil.free_loops + ("f",)
+        )
+        assert goeritz_determinant(with_loop) == 0
+        two = _disjoint_union(trefoil, trefoil).validate()
+        assert goeritz_determinant(two) == 0 == determinant(_oracle_fingerprint(two))
+
+    def test_refuses_a_non_planar_map(self):
+        d = TangleDiagram(1, 0, (2, 3, 0, 1), (), (("a", 0), ("b", 1)))
+        with pytest.raises(TangleError, match="not planar"):
+            goeritz_determinant(d)
+
+
+def _corrupt_top_term(br, fn):
+    """br with its highest term c*A^e replaced by the term fn(e, c)."""
+    terms = dict(br.key())
+    e = max(terms)
+    c = terms.pop(e)
+    return LaurentPoly(terms) + LaurentPoly.monomial(*fn(e, c))
+
+
+def _drop_state(d, br, loops):
+    """br without the term A^e delta^(loops - 1) of one state with `loops` loops."""
+    e = max(e for e, m in _walk_histogram(d) if m == loops)
+    return br - LaurentPoly.monomial(e) * LOOP_FACTOR.pow(loops - 1)
+
+
+_CORRUPTIONS = {
+    # caught: the value at A = e^{i pi/4} leaves the axis or changes size
+    "drop_one_loop_state": (True, lambda d, br: _drop_state(d, br, 1)),
+    "shift_exponent_by_1": (True, lambda d, br: _corrupt_top_term(br, lambda e, c: (e + 1, c))),
+    "shift_exponent_by_4": (True, lambda d, br: _corrupt_top_term(br, lambda e, c: (e + 4, c))),
+    "negate_coefficient": (True, lambda d, br: _corrupt_top_term(br, lambda e, c: (e, -c))),
+    # not caught: delta, A^8 - 1 and A -> A^-1 keep |<D>| at A = e^{i pi/4}
+    "drop_two_loop_state": (False, lambda d, br: _drop_state(d, br, 2)),
+    "shift_exponent_by_8": (False, lambda d, br: _corrupt_top_term(br, lambda e, c: (e + 8, c))),
+    "mirror": (False, lambda d, br: LaurentPoly({-e: c for e, c in br.key()})),
+}
+
+
+class TestDeterminantCrossCheck:
+    """Corrupt `bracket_skein` and see which corruptions `fingerprint`'s
+    Goeritz cross-check refuses.  The two brackets used to have to agree as
+    whole polynomials; now they agree only at A = e^{i pi/4}, so the
+    corruptions listed as not caught pass it and change the fingerprint."""
+
+    @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+    def test_corrupted_contraction(self, monkeypatch, name):
+        caught, corrupt = _CORRUPTIONS[name]
+        d = close_numerator(rational_tangle_diagram(reduce(7, 3)))  # chiral, det 7
+        want = fingerprint(d)
+        real = invariants.bracket_skein
+
+        def corrupted(diagram):
+            return corrupt(diagram, real(diagram))
+
+        monkeypatch.setattr(invariants, "bracket_skein", corrupted)
+        assert corrupted(d) != real(d)
+        if caught:
+            with pytest.raises(TangleError):
+                fingerprint(d)
+        else:
+            assert fingerprint(d) != want
 
 
 class TestIdentify:
@@ -530,25 +654,68 @@ class TestDeterminantClasses:
         assert built == [7] * 4  # one reference per Schubert class: q = 1, 2, 3, 6
 
     def test_table_is_built_from_one_reference_per_class(self, monkeypatch):
-        fingerprinted = []
-        real = identify.fingerprint
-
-        def counting(d):
-            fingerprinted.append(d)
-            return real(d)
-
-        identify._class_table.cache_clear()
+        fingerprinted = self._count_fingerprints(monkeypatch)
         identify._fingerprint_table.cache_clear()
-        monkeypatch.setattr(identify, "fingerprint", counting)
         assert len(identify._fingerprint_table()) == 27
         assert len(fingerprinted) == 27
 
     def test_identify_past_the_table_builds_nothing(self, monkeypatch):
-        with open("tests/fixtures/torus14.pd", encoding="utf-8") as fh:
-            d = parse_pd(fh.read())
+        d = _read_fixture("torus14")
         built = self._count_references(monkeypatch)
         assert identify_link(d).kind == "unknown"
         assert built == []
+
+    def _count_fingerprints(self, monkeypatch):
+        fingerprinted = []
+        real = identify.fingerprint
+
+        def counting(d, det=None):
+            fingerprinted.append(d)
+            return real(d, det)
+
+        identify._class_table.cache_clear()
+        identify._closure_fingerprints.cache_clear()
+        monkeypatch.setattr(identify, "fingerprint", counting)
+        return fingerprinted
+
+    def test_identify_off_table_computes_no_bracket(self, monkeypatch):
+        d = _read_fixture("closure_13_5_inflated")
+        assert simplify(d, "free").n > 0
+        fingerprinted = self._count_fingerprints(monkeypatch)
+        lid = identify_link(d)
+        assert (lid.kind, lid.components) == ("unknown", 1)
+        assert fingerprinted == []
+
+    def test_identify_in_table_fingerprints_the_query_once(self, monkeypatch):
+        d = _read_fixture("closure_7_3_inflated")
+        fingerprinted = self._count_fingerprints(monkeypatch)
+        determined = []
+        real = invariants.goeritz_determinant
+
+        def counting(diagram):
+            determined.append(diagram)
+            return real(diagram)
+
+        monkeypatch.setattr(identify, "goeritz_determinant", counting)
+        monkeypatch.setattr(invariants, "goeritz_determinant", counting)
+        assert identify_link(d).two_bridge.p == 7
+        assert len(fingerprinted) == 1 + 4  # the query and one reference per Schubert class
+        # one Goeritz determinant per diagram: the query's is passed on to its fingerprint
+        assert len(determined) == len({id(x) for x in determined}) == 1 + 4
+
+    def test_recover_past_the_bound_computes_no_bracket(self, monkeypatch):
+        fingerprinted = self._count_fingerprints(monkeypatch)
+        with pytest.raises(TangleError) as err:
+            recover_fraction(rational_tangle_diagram(reduce(13, 5)))
+        assert str(err.value) == "tangle does not match any p/q with |p|,|q| <= 8"
+        assert fingerprinted == []
+
+    def test_budget_checked_before_the_determinant(self, monkeypatch):
+        d = _read_fixture("torus14")
+        monkeypatch.setenv("TANGLEKIT_BUDGET", "13")
+        monkeypatch.setattr(identify, "goeritz_determinant", None)  # never reached
+        with pytest.raises(BudgetExceeded, match="14 crossings exceeds the bracket budget 13"):
+            identify_link(d)
 
 
 class TestFractionDiagramConsistency:
@@ -621,10 +788,17 @@ def _oracle_linking_matrix(d):
     return out
 
 
+def _both_brackets(d):
+    """<D> from the state sum, insisting that the contraction agrees."""
+    br = bracket_state_sum(d)
+    assert bracket_skein(d) == br
+    return br
+
+
 def _oracle_fingerprint(d):
     """The normalized bracket over every orientation choice, each writhe
-    summed crossing by crossing."""
-    br = bracket_both(d)
+    summed crossing by crossing, from both bracket implementations."""
+    br = _both_brackets(d)
     others = range(1, len(d.components))
     polys = set()
     for r in range(len(others) + 1):
