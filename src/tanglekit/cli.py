@@ -6,8 +6,8 @@ identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
 input file, malformed or non-planar PD text, malformed or wrongly shaped
 JSON, a config value that is not a JSON integer, an unknown fact atom, a
-negative --max-crossings, a --jobs below 1 and a bad TANGLEKIT_BUDGET),
-3 budget exceeded.
+negative --max-crossings, a --jobs below 1, a verify --L or --Lt below 2
+in absolute value and a bad TANGLEKIT_BUDGET), 3 budget exceeded.
 
 Each subcommand imports the modules it runs inside its handler.  A cold
 process without bytecode caches (PYTHONDONTWRITEBYTECODE, a read-only

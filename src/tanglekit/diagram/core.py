@@ -327,6 +327,11 @@ class Wiring:
     `endpoints` keeps the circular boundary order; crossing ids are
     renumbered on freeze in `order` order.  Only `port` and `to_diagram`
     translate between ids and dart numbers.
+
+    The Reidemeister moves and the surgeries `cap`, `remove_string` and
+    `add_boundary_twists` edit `from_diagram(d)` of their input `d`
+    through two primitives: `splice_out` takes one crossing out, and
+    `freeze` re-anchors `d`'s loops and returns the validated result.
     """
 
     def __init__(self):
@@ -352,34 +357,11 @@ class Wiring:
             return ("e", dart - 4 * d.n)
         return ("x", dart // 4, dart % 4)
 
-    def surviving_loops(self, d: TangleDiagram, freed: list[str]) -> list[tuple[str, tuple]]:
-        """Anchor each loop of `d` at the first port of its traversal still wired.
-
-        `d` is the diagram this wiring was made from.  A loop with no port
-        left is appended to `freed`, unless a splice freed it already.
-        """
-        loops = []
-        for comp in d.components:
-            if not comp.closed or not comp.out_darts or comp.label in freed:
-                continue
-            ports = (self.port(d, dart) for dart in comp.out_darts)
-            anchor = next((p for p in ports if p in self.mate), None)
-            if anchor is None:
-                freed.append(comp.label)
-            else:
-                loops.append((comp.label, anchor))
-        return loops
-
     def new_crossing(self) -> int:
         cid = self._next
         self._next += 1
         self.order.append(cid)
         return cid
-
-    def new_endpoint_id(self) -> int:
-        eid = self._next
-        self._next += 1
-        return eid
 
     def connect(self, a: tuple, b: tuple) -> None:
         self.mate[a] = b
@@ -398,13 +380,49 @@ class Wiring:
         self.connect(a, b)
         return (a, b)
 
+    def splice_out(self, d: TangleDiagram, c: int, slots, freed: list[str]) -> None:
+        """Take crossing c out, splicing the strand through each of `slots`.
+
+        Each listed slot's strand is joined through to the opposite slot;
+        the crossing's other ports are dropped.  The label in `d` of each
+        splice that closed a crossing-free circle is appended to `freed`.
+        """
+        for s in slots:
+            if self.join_through(("x", c, s % 4), ("x", c, (s + 2) % 4)) is None:
+                freed.append(d.label_of(4 * c + s % 4))
+        for s in range(4):
+            self.mate.pop(("x", c, s), None)
+        self.order.remove(c)
+
+    def freeze(self, d: TangleDiagram, strings, freed=(), new_loops=()) -> TangleDiagram:
+        """The validated diagram of this wiring, made from `d`.
+
+        Each loop of `d` is anchored at the first port of its traversal
+        still wired; one with no port left joins the `freed` labels,
+        unless a splice freed it already.  `new_loops` (label, port) follow
+        the surviving loops, and the freed labels follow `d.free_loops`.
+        """
+        freed = list(freed)
+        loops = []
+        for comp in d.components:
+            if not comp.closed or not comp.out_darts or comp.label in freed:
+                continue
+            ports = (self.port(d, dart) for dart in comp.out_darts)
+            anchor = next((p for p in ports if p in self.mate), None)
+            if anchor is None:
+                freed.append(comp.label)
+            else:
+                loops.append((comp.label, anchor))
+        loops.extend(new_loops)
+        return self.to_diagram(strings, loops, d.free_loops + tuple(freed)).validate()
+
     def to_diagram(
         self,
         strings: tuple[tuple[str, int], ...] = (),
         loops: tuple[tuple[str, tuple], ...] = (),
         free_loops: tuple[str, ...] = (),
     ) -> TangleDiagram:
-        """Freeze; `strings` anchor at endpoint ids, `loops` at ports.
+        """Freeze unvalidated; `strings` anchor at endpoint ids, `loops` at ports.
 
         The only map from wiring ids to dart numbers: crossings are numbered
         in `order` order, endpoints by position in `endpoints`.

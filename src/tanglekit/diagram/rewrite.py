@@ -13,14 +13,16 @@ Reduction move set:
   re-routing that end through the face into the boundary gap.
 
 Every move strictly decreases the crossing count, so `simplify` terminates
-at a fixed point of the move set.  The *_add appliers (R1, R2) and the R3
-slide exist for the invariance property suite; they are not used by the
-reducer.
+at a fixed point of the move set.  No move raises any string's count of
+crossings with other strands (see each applier).  The *_add appliers (R1,
+R2) and the R3 slide exist for the invariance property suite; they are not
+used by the reducer.
 
-Every applier returns a validated diagram (`TangleDiagram.validate`).  The
-R2 push and the R3 slide rely on that: they try the possible port
-rotations of their new crossings in a fixed order and return the first
-whose result embeds in the plane.
+Every applier edits one `Wiring` of its input, taking crossings out with
+`Wiring.splice_out`, and returns the validated diagram of
+`Wiring.freeze`.  The R2 push and the R3 slide place the ports of their
+new crossings by a planarity argument given in their docstrings, so each
+builds its one result once.
 """
 
 from __future__ import annotations
@@ -37,33 +39,22 @@ def _transit(c: int, s: int) -> tuple[tuple, tuple]:
     return ("x", c, s % 4), ("x", c, (s + 2) % 4)
 
 
-def _splice_crossing(d: TangleDiagram, w: Wiring, c: int, free_labels: list[str]) -> None:
-    """Remove crossing c splicing both transits, tracking freed circles."""
-    for s in (0, 1):
-        if w.join_through(*_transit(c, s)) is None:
-            free_labels.append(d.label_of(4 * c + s))
-    w.order.remove(c)
-
-
 def _finish(
     d: TangleDiagram,
     w: Wiring,
     free_labels: list[str],
     string_anchor: dict[str, int] | None = None,
 ) -> TangleDiagram:
-    """Freeze and validate a rewired diagram, re-anchoring labels.
+    """`w.freeze` with the strings listed in boundary order.
 
     `string_anchor` maps labels to endpoint ids when the move touched the
-    boundary; otherwise old anchors are reused.  Strings are listed in
-    boundary order.  Loop anchors move to the first surviving port of the
-    old traversal.
+    boundary; otherwise old anchors are reused.
     """
     if string_anchor is None:
-        string_anchor = {lab: ep for lab, ep in d.strings}
+        string_anchor = dict(d.strings)
     label_at = {eid: lab for lab, eid in string_anchor.items()}
     strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
-    loops = w.surviving_loops(d, free_labels)
-    return w.to_diagram(strings, loops, d.free_loops + tuple(free_labels)).validate()
+    return w.freeze(d, strings, free_labels)
 
 
 # -- reduction moves -----------------------------------------------------------
@@ -78,10 +69,16 @@ def r1_matches(d: TangleDiagram):
 
 
 def apply_r1(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    """Remove the kinked crossing, splicing both of its strands through.
+
+    Raises no string's count of crossings with other strands: a splice
+    joins the two halves of one strand, so every arc keeps its component
+    and every other crossing its pair of strands, and one crossing goes.
+    """
     c, _ = match
     w = Wiring.from_diagram(d)
     free: list[str] = []
-    _splice_crossing(d, w, c, free)
+    w.splice_out(d, c, (0, 1), free)
     return _finish(d, w, free)
 
 
@@ -101,11 +98,16 @@ def r2_matches(d: TangleDiagram):
 
 
 def apply_r2(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    """Remove the bigon's two crossings, splicing their strands through.
+
+    Raises no string's count of crossings with other strands, as in R1:
+    the splices keep every arc on its component, and two crossings go.
+    """
     c, _, dd, _ = match
     w = Wiring.from_diagram(d)
     free: list[str] = []
-    _splice_crossing(d, w, c, free)
-    _splice_crossing(d, w, dd, free)
+    w.splice_out(d, c, (0, 1), free)
+    w.splice_out(d, dd, (0, 1), free)
     return _finish(d, w, free)
 
 
@@ -121,42 +123,30 @@ def untwist_matches(d: TangleDiagram):
 
 
 def apply_untwist(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    """Unwind crossing c by swapping the boundary spots of its two strands.
+
+    Slots s and s+1 run straight to endpoints a and b.  Splicing c out
+    leaves each strand ending at its own endpoint id; then a's end moves
+    to b's spot and b's end to a fresh spot just before it.  Raises no
+    string's count of crossings with other strands: the splices keep
+    every arc on its component, moving an endpoint along the empty corner
+    face crosses nothing, and one crossing goes.
+    """
     c, s = match
     ep_a = d.alpha[4 * c + s] - 4 * d.n
     ep_b = d.alpha[4 * c + (s + 1) % 4] - 4 * d.n
-    la = d.label_of(4 * c + s)
-    lb = d.label_of(4 * c + (s + 1) % 4)
     w = Wiring.from_diagram(d)
-    x_cont = w.mate[("x", c, (s + 2) % 4)]
-    y_cont = w.mate[("x", c, (s + 3) % 4)]
-    new_id = w.new_endpoint_id()
-    # endpoint a leaves its spot; a fresh endpoint lands just before b
+    w.splice_out(d, c, (s, s + 1), [])
     w.endpoints.remove(ep_a)
-    w.endpoints.insert(w.endpoints.index(ep_b), new_id)
-    for slot in range(4):
-        w.mate.pop(("x", c, slot), None)
-    w.mate.pop(("e", ep_a), None)
-    w.order.remove(c)
-    if x_cont == ("x", c, (s + 3) % 4):
-        # the two transits were bridged at c: single strand remains
-        w.connect(("e", ep_b), ("e", new_id))
-    else:
-        w.connect(x_cont, ("e", ep_b))
-        w.connect(y_cont, ("e", new_id))
+    w.endpoints.insert(w.endpoints.index(ep_b) + 1, ep_a)
+    # a string ending at a or b is anchored at its other end; the one
+    # string running from a to b at b's old spot, which now holds a's end
     anchors: dict[str, int] = {}
     for comp in d.components:
-        if comp.closed:
-            continue
-        keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
-        anchors[comp.label] = keep[0] if keep else ep_b
-    # strand of a now ends at b's spot, strand of b at the fresh spot
-    if la != lb:
-        if anchors[la] in (ep_a, ep_b):
-            anchors[la] = ep_b
-        if anchors[lb] in (ep_a, ep_b):
-            anchors[lb] = new_id
-    free: list[str] = []
-    return _finish(d, w, free, string_anchor=anchors)
+        if not comp.closed:
+            keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
+            anchors[comp.label] = keep[0] if keep else ep_a
+    return _finish(d, w, [], string_anchor=anchors)
 
 
 def pull_matches(d: TangleDiagram):
@@ -187,6 +177,14 @@ def pull_matches(d: TangleDiagram):
 
 
 def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    """Take crossing c out and move endpoint p into the face's boundary gap.
+
+    The strand through slot j keeps running to endpoint p, whose end is
+    re-routed through the face; the strand through j+1 is spliced.  Raises
+    no string's count of crossings with other strands: the splices keep
+    every arc on its component, the re-routed end runs inside one face and
+    so crosses nothing, and one crossing goes.
+    """
     c, j, m = match
     nd = d.num_darts
     ep_p = d.alpha[4 * c + j] - 4 * d.n
@@ -203,14 +201,8 @@ def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
     if gap is None:
         raise TangleError("pull move without boundary gap")
     w = Wiring.from_diagram(d)
-    x_cont = w.mate[("x", c, (j + 2) % 4)]
     free: list[str] = []
-    if w.join_through(*_transit(c, j + 1)) is None:
-        free.append(d.label_of(4 * c + (j + 1) % 4))
-    for slot in (j, j + 2):
-        w.mate.pop(("x", c, slot % 4))
-    w.order.remove(c)
-    w.connect(x_cont, ("e", ep_p))
+    w.splice_out(d, c, (j, j + 1), free)
     # relocate endpoint p into the chosen gap
     w.endpoints.remove(ep_p)
     ga, gb = gap
@@ -268,34 +260,33 @@ def apply_r1_add(d: TangleDiagram, out_dart: int, kind: int) -> TangleDiagram:
 
 
 def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) -> TangleDiagram:
-    """Push the d1 edge across their common face over (or under) the d2 edge."""
+    """Push the d1 edge across their common face over (or under) the d2 edge.
+
+    `d.faces` lists out-darts, so the face runs along d1's edge and d2's
+    edge in the same direction.  The bigon the push makes is a face of the
+    result, and it runs along its two sides in opposite directions.  So
+    d1's edge is threaded forwards, from d1 to alpha[d1], and d2's edge
+    backwards, from alpha[d2] to d2; the other way round does not embed.
+    """
     if d1 >= d.num_darts or d2 >= d.num_darts:
         raise TangleError("R2 push needs strand edges, not boundary gaps")
     if d.face_of_dart.get(d1) != d.face_of_dart.get(d2):
         raise TangleError("R2 push needs two edges on a common face")
     if d1 == d2 or d.alpha[d1] == d2:
         raise TangleError("R2 push needs two distinct edges")
-    base = 1 if over_first else 0  # S1 occupies the odd transit when on top
     S, E, N, W = (0, 1, 2, 3) if over_first else (1, 2, 3, 0)
-    for flip in (False, True):
-        w = Wiring.from_diagram(d)
-        cp = w.new_crossing()
-        cq = w.new_crossing()
-        u1, v1 = Wiring.port(d, d1), Wiring.port(d, d.alpha[d1])
-        u2, v2 = Wiring.port(d, d2), Wiring.port(d, d.alpha[d2])
-        if flip:
-            u2, v2 = v2, u2
-        w.connect(u1, ("x", cp, W))
-        w.connect(("x", cp, E), ("x", cq, E))
-        w.connect(("x", cq, W), v1)
-        w.connect(u2, ("x", cp, S))
-        w.connect(("x", cp, N), ("x", cq, S))
-        w.connect(("x", cq, N), v2)
-        try:
-            return _finish(d, w, [])
-        except TangleError:
-            continue
-    raise TangleError("R2 push failed to embed")
+    w = Wiring.from_diagram(d)
+    cp = w.new_crossing()
+    cq = w.new_crossing()
+    u1, v1 = Wiring.port(d, d1), Wiring.port(d, d.alpha[d1])
+    u2, v2 = Wiring.port(d, d.alpha[d2]), Wiring.port(d, d2)
+    w.connect(u1, ("x", cp, W))
+    w.connect(("x", cp, E), ("x", cq, E))
+    w.connect(("x", cq, W), v1)
+    w.connect(u2, ("x", cp, S))
+    w.connect(("x", cp, N), ("x", cq, S))
+    w.connect(("x", cq, N), v2)
+    return _finish(d, w, [])
 
 
 def r3_triangles(d: TangleDiagram):
@@ -318,8 +309,24 @@ def r3_triangles(d: TangleDiagram):
 def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
     """Slide the triangle's doubly-over (or doubly-under) strand across.
 
+    The slide strand runs from crossing P to crossing Q; strand A runs
+    through P and R, strand B through Q and R.  The slide strand leaves P
+    and Q and crosses the extensions of B and of A beyond R, at two new
+    crossings, meeting B's first from the P side.
+
+    `d.faces` lists out-darts and turns counterclockwise at each crossing,
+    so a face lies to the right of its darts: the triangle runs P, Q, R
+    clockwise.  Beyond R, A and B have swapped sides, and walking along
+    either extension away from R the slide strand crosses it from right
+    to left.  With counterclockwise slots, that puts the slide in at the
+    slot after the R-side port and out at the slot before it.  The slide
+    keeps its level, so the extension takes the under slots (0, 2) when
+    the slide was over, else the over slots (1, 3): the R-side, slide-in,
+    far and slide-out slots are (0, 1, 2, 3) or (1, 2, 3, 0).
+
     All surgery is sequential on the wiring, re-reading mates at each
     step, so outer legs re-entering the triangle are handled naturally.
+    A triangle with no planar slide raises `TangleError`.
     """
     fi, i = match
     face = d.faces[fi]
@@ -334,60 +341,33 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
         raise TangleError("triangle face structure unexpected")
     sR1 = d.alpha[t_next] % 4  # arrival at R from Q
     sR2 = t_prev % 4           # departure from R toward P
-    m_over = (sP % 2) == 1
-
-    def build(rot_p: int, rot_q: int) -> TangleDiagram:
-        w = Wiring.from_diagram(d)
-        # strand A straight through P, strand B straight through Q
-        for c, s in ((P, sP + 1), (Q, sQ + 1)):
-            if w.join_through(*_transit(c, s)) is None:
-                raise TangleError("degenerate triangle: side strand loops")
-        # new crossings on the far sides of R; the sliding strand keeps its
-        # level, so its ports take the odd slots exactly when it was over
-        p2 = w.new_crossing()
-        q2 = w.new_crossing()
-
-        def slots(rot: int) -> tuple[int, int, int, int]:
-            base = (0, 1, 2, 3) if m_over else (1, 2, 3, 0)
-            if rot & 1:
-                base = (base[2], base[1], base[0], base[3])  # swap strand ports
-            if rot & 2:
-                base = (base[0], base[3], base[2], base[1])  # swap slide ports
-            return base
-
-        a_r, m_in, a_far, m_out = slots(rot_p)
-        b_r, m_pin, b_far, m_end = slots(rot_q)
-        far_a = ("x", R, (sR2 + 2) % 4)
-        xa = w.mate[far_a]
-        w.connect(far_a, ("x", p2, a_r))
-        w.connect(("x", p2, a_far), xa)
-        far_b = ("x", R, (sR1 + 2) % 4)
-        xb = w.mate[far_b]
-        w.connect(far_b, ("x", q2, b_r))
-        w.connect(("x", q2, b_far), xb)
-        # lift the sliding strand out of P and Q, keeping its loose edge
-        if w.join_through(*_transit(P, sP)) is None:
-            raise TangleError("degenerate triangle: slide strand loops at P")
-        joined = w.join_through(*_transit(Q, sQ))
-        if joined is None:
-            raise TangleError("degenerate triangle: slide strand loops at Q")
-        mp, mq = joined  # P-side and Q-side of the bypass edge
-        w.order.remove(P)
-        w.order.remove(Q)
-        # thread it through the new crossings; beyond R the two side
-        # strands have swapped sides, so from the P side the slide meets
-        # strand B's extension first
-        w.mate.pop(mp)
-        w.mate.pop(mq)
-        w.connect(mp, ("x", q2, m_pin))
-        w.connect(("x", q2, m_end), ("x", p2, m_in))
-        w.connect(("x", p2, m_out), mq)
-        return _finish(d, w, [])
-
-    for rot_p in range(4):
-        for rot_q in range(4):
-            try:
-                return build(rot_p, rot_q)
-            except TangleError:
-                continue
-    raise TangleError("R3 slide failed to embed")
+    r_side, m_in, far, m_out = (0, 1, 2, 3) if sP % 2 else (1, 2, 3, 0)
+    w = Wiring.from_diagram(d)
+    # strand A straight through P, strand B straight through Q
+    for c, s in ((P, sP + 1), (Q, sQ + 1)):
+        if w.join_through(*_transit(c, s)) is None:
+            raise TangleError("degenerate triangle: side strand loops")
+    # new crossings on the far sides of R, on A's and on B's extension
+    p2 = w.new_crossing()
+    q2 = w.new_crossing()
+    for c2, sR in ((p2, sR2), (q2, sR1)):
+        r_leg = ("x", R, (sR + 2) % 4)
+        beyond = w.mate[r_leg]
+        w.connect(r_leg, ("x", c2, r_side))
+        w.connect(("x", c2, far), beyond)
+    # lift the sliding strand out of P and Q, keeping its loose edge
+    if w.join_through(*_transit(P, sP)) is None:
+        raise TangleError("degenerate triangle: slide strand loops at P")
+    joined = w.join_through(*_transit(Q, sQ))
+    if joined is None:
+        raise TangleError("degenerate triangle: slide strand loops at Q")
+    mp, mq = joined  # P-side and Q-side of the bypass edge
+    w.order.remove(P)
+    w.order.remove(Q)
+    # thread it through the new crossings, strand B's extension first
+    w.mate.pop(mp)
+    w.mate.pop(mq)
+    w.connect(mp, ("x", q2, m_in))
+    w.connect(("x", q2, m_out), ("x", p2, m_in))
+    w.connect(("x", p2, m_out), mq)
+    return _finish(d, w, [])

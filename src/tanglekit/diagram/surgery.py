@@ -139,13 +139,13 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     name = f"shat{i}"
     w = Wiring.from_diagram(d)
     free_extra: list[str] = []
-    loop_anchor: tuple | None = None
+    new_loops: list[tuple[str, tuple]] = []
     joined = w.join_through(("e", a), ("e", b))
     if joined is None:  # the capped pair bounded one crossing-free strand
         free_extra.append(la)
     elif la == lb:
         u, v = joined
-        loop_anchor = u if u[0] == "x" else v
+        new_loops.append((name, u if u[0] == "x" else v))
     w.endpoints.remove(a)
     w.endpoints.remove(b)
     start = (b + 1) % 6
@@ -154,10 +154,7 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     if la != lb:
         ends = [e for e, lab in labels.items() if lab in (la, lb) and e not in (a, b)]
         strings.append((name, min(ends)))
-    loops = w.surviving_loops(d, free_extra)
-    if loop_anchor is not None:
-        loops.append((name, loop_anchor))
-    return w.to_diagram(strings, loops, d.free_loops + tuple(free_extra)).validate()
+    return w.freeze(d, strings, free_extra, new_loops)
 
 
 def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
@@ -171,13 +168,8 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     for c, (under, over) in enumerate(d.crossing_strands):
         if idx not in (under, over):
             continue
-        if under != over:
-            keep = 1 if under == idx else 0  # surviving transit parity
-            if w.join_through(("x", c, keep), ("x", c, keep + 2)) is None:
-                free_extra.append(d.label_of(4 * c + keep))
-        for s in range(4):
-            w.mate.pop(("x", c, s), None)
-        w.order.remove(c)
+        keep = 1 if under == idx else 0  # surviving transit parity
+        w.splice_out(d, c, (keep,) if under != over else (), free_extra)
     # drop the removed string's leftover material
     material = set(comp.out_darts) | {d.alpha[x] for x in comp.out_darts}
     for dart in material:
@@ -194,8 +186,7 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     w.endpoints.remove(p2)
     w.endpoints.sort(key=lambda e: (e - start) % k)
     strings = [(lab, ep) for lab, ep in d.strings if lab != label]
-    loops = w.surviving_loops(d, free_extra)
-    return w.to_diagram(strings, loops, d.free_loops + tuple(free_extra)).validate()
+    return w.freeze(d, strings, free_extra)
 
 
 def close_with(d: TangleDiagram, filler: TangleFraction) -> TangleDiagram:
@@ -266,4 +257,4 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
             ends = (comp.start_ep, comp.end_ep)
             anchor = [e for e in ends if e not in (a, b)]
             strings.append((comp.label, min(anchor) if anchor else min(ends)))
-    return w.to_diagram(strings, w.surviving_loops(d, []), d.free_loops).validate()
+    return w.freeze(d, strings)

@@ -287,11 +287,18 @@ def verify_solution_tangle(
     to the right-handed (2,L) torus link against 1/0.  With in_trans also
     checks that removing the enhancer strand s23 leaves the -1/(Lt) pair.
     Identification failures (fingerprint out of table) are reported as
-    inconclusive, not as refutations.
+    inconclusive, not as refutations.  |L| < 2 or |Lt| < 2 is a
+    UsageError: (2,0) is the unlink and (2,+-1) the unknot, not a torus
+    link product, as `solve_deletion_pair` rules.
     """
     from .diagram.identify import LinkId
     from .diagram.surgery import cap, remove_string
 
+    for name, value in (("L", L), ("Lt", Lt)):
+        if abs(value) < 2:
+            raise UsageError(
+                f"|{name}| must be at least 2: (2,{value}) is not a genuine torus link product"
+            )
     if d.k != 6:
         raise TangleError("verify_solution_tangle needs a 3-string tangle")
     report = VerificationReport()

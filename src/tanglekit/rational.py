@@ -320,6 +320,8 @@ def solve_in_trans(L1: int, L2: int, L3: int, Lt: int) -> tuple[TangleFraction, 
             raise UnsupportedCase("|L_i| = 2 branches are rejected (case split deferred)")
         if abs(L) < 2:
             raise NoSolution(f"(2,{L}) is not a torus link product")
+    if abs(Lt) < 2:
+        raise NoSolution(f"(2,{Lt}) is not a torus link product")
     if (L2 + L3 - L1) % 2 != 0:
         raise ParityViolation("L2 + L3 - L1 must be even")
     m = (L1 - L2 - L3) // 2

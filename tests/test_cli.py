@@ -34,6 +34,13 @@ class TestSolve:
         cfg.write_text(json.dumps({"deletion": {"e": 1}}))
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("lt", [0, 1, -1])
+    def test_degenerate_in_trans_product_exits_one(self, lt, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"in_trans": {"deletion": lt}}))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "torus link product" in json.loads(capsys.readouterr().out)["error"]
+
     def test_deterministic_output(self):
         a = run_cli(["solve"])
         b = run_cli(["solve"])
@@ -238,6 +245,12 @@ class TestBadInput:
             ["enumerate", "--max-crossings", "-1"],
             ["enumerate", "--max-crossings", "1", "--jobs", "0"],
             ["enumerate", "--max-crossings", "1", "--jobs", "-3"],
+            ["verify", "--pd", "{trivial}", "--L", "0"],
+            ["verify", "--pd", "{trivial}", "--L", "1"],
+            ["verify", "--pd", "{trivial}", "--L", "-1"],
+            ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "0"],
+            ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "1"],
+            ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "-1"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -257,9 +270,14 @@ class TestBadInput:
             "directory": str(tmp_path),
             "binary": str(tmp_path / "binary"),
             "truncated": str(tmp_path / "truncated.pd"),
+            "trivial": str(tmp_path / "trivial.pd"),
         }
         (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
         (tmp_path / "truncated.pd").write_text("tangle k=0 n=1\nX 1 2 1\n")
+        # the crossing-free 3-string tangle
+        (tmp_path / "trivial.pd").write_text(
+            "tangle k=3 n=0\nB 1 1 2 2 3 3\nS s12: 1\nS s23: 2\nS s31: 3\n"
+        )
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
             paths[name] = str(tmp_path / f"{name}.json")
