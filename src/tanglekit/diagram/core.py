@@ -328,10 +328,12 @@ class Wiring:
     renumbered on freeze in `order` order.  Only `port` and `to_diagram`
     translate between ids and dart numbers.
 
-    The Reidemeister moves and the surgeries `cap`, `remove_string` and
-    `add_boundary_twists` edit `from_diagram(d)` of their input `d`
-    through two primitives: `splice_out` takes one crossing out, and
-    `freeze` re-anchors `d`'s loops and returns the validated result.
+    The Reidemeister moves and the surgeries `cap`, `remove_string`,
+    `add_boundary_twists` and the closures edit `from_diagram(d)` of
+    their input `d` through two primitives: `splice_out` takes one
+    crossing out, and `freeze` re-anchors `d`'s loops and returns the
+    validated result.  The caller orders the free loops: a move lists
+    `d`'s first, a closure the circles it freed first.
     """
 
     def __init__(self):
@@ -394,27 +396,28 @@ class Wiring:
             self.mate.pop(("x", c, s), None)
         self.order.remove(c)
 
-    def freeze(self, d: TangleDiagram, strings, freed=(), new_loops=()) -> TangleDiagram:
+    def freeze(self, d: TangleDiagram, strings, free_loops, new_loops=()) -> TangleDiagram:
         """The validated diagram of this wiring, made from `d`.
 
         Each loop of `d` is anchored at the first port of its traversal
-        still wired; one with no port left joins the `freed` labels,
-        unless a splice freed it already.  `new_loops` (label, port) follow
-        the surviving loops, and the freed labels follow `d.free_loops`.
+        still wired; one with no port left is appended to `free_loops`,
+        unless a splice freed it already.  `new_loops` (label, port)
+        follow the surviving loops.  The caller orders `free_loops`, `d`'s
+        own among them.
         """
-        freed = list(freed)
+        free_loops = list(free_loops)
         loops = []
         for comp in d.components:
-            if not comp.closed or not comp.out_darts or comp.label in freed:
+            if not comp.closed or not comp.out_darts:
                 continue
             ports = (self.port(d, dart) for dart in comp.out_darts)
             anchor = next((p for p in ports if p in self.mate), None)
-            if anchor is None:
-                freed.append(comp.label)
-            else:
+            if anchor is not None:
                 loops.append((comp.label, anchor))
+            elif comp.label not in free_loops:
+                free_loops.append(comp.label)
         loops.extend(new_loops)
-        return self.to_diagram(strings, loops, d.free_loops + tuple(freed)).validate()
+        return self.to_diagram(strings, loops, free_loops).validate()
 
     def to_diagram(
         self,

@@ -9,10 +9,11 @@ Format (UTF-8, LF line endings, `#` comments):
     S lbl: a1,a2,...  arcs of each component in traversal order from a1;
                       labels are distinct, and no arc is in two S lines
 
-Arc ids are arbitrary positive integers; every arc has exactly two
-incidences among the X and B lines, except a crossing-free closed loop,
-whose single arc id appears only in its S line.  Closed diagrams have
-k=0 and no B line.
+A diagram has one header line, naming k and n once each, and at most
+one B line.  Arc ids are arbitrary positive integers; every arc has
+exactly two incidences among the X and B lines, except a crossing-free
+closed loop, whose single arc id appears only in its S line.  Closed
+diagrams have k=0 and no B line.
 
 The S line orients each component, except a closed one of one or two
 arcs, whose arc list reads the same in both directions.  Such a component
@@ -70,11 +71,17 @@ def parse_pd(text: str) -> TangleDiagram:
         parts = line.split()
         tag = parts[0]
         if tag == "tangle":
+            if header is not None:
+                raise PDSyntaxError("second 'tangle' header line", ln)
             kv = {}
             for tok in parts[1:]:
                 if "=" not in tok:
                     raise PDSyntaxError(f"bad header token {tok!r}", ln)
                 key, val = tok.split("=", 1)
+                if key not in ("k", "n"):
+                    raise PDSyntaxError(f"unknown header key {key!r}", ln)
+                if key in kv:
+                    raise PDSyntaxError(f"repeated header key {key!r}", ln)
                 try:
                     kv[key] = int(val)
                 except ValueError:
@@ -90,6 +97,8 @@ def parse_pd(text: str) -> TangleDiagram:
             except ValueError:
                 raise PDSyntaxError("non-integer arc id", ln)
         elif tag == "B":
+            if b_row is not None:
+                raise PDSyntaxError("second B line", ln)
             try:
                 b_row = [int(t) for t in parts[1:]]
             except ValueError:

@@ -54,7 +54,7 @@ def _finish(
         string_anchor = dict(d.strings)
     label_at = {eid: lab for lab, eid in string_anchor.items()}
     strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
-    return w.freeze(d, strings, free_labels)
+    return w.freeze(d, strings, d.free_loops + tuple(free_labels))
 
 
 # -- reduction moves -----------------------------------------------------------
@@ -204,14 +204,9 @@ def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
     free: list[str] = []
     w.splice_out(d, c, (j, j + 1), free)
     # relocate endpoint p into the chosen gap
-    w.endpoints.remove(ep_p)
-    ga, gb = gap
-    if gb == ep_p or ga == ep_p:
-        # relocating into a gap flanked by itself: order unchanged
-        w.endpoints.insert(0, ep_p)
-        w.endpoints.sort()
-    else:
-        w.endpoints.insert(w.endpoints.index(gb), ep_p)
+    if ep_p not in gap:  # a gap flanked by p itself leaves the order as is
+        w.endpoints.remove(ep_p)
+        w.endpoints.insert(w.endpoints.index(gap[1]), ep_p)
     return _finish(d, w, free)
 
 

@@ -11,10 +11,17 @@ of the experiment equations is always the boundary pairs (0,1) and (2,3) of
 the result.  `close_with` fills that slot: 0/1 joins (0-1) and (2-3), 1/0
 joins (1-2) and (3-0), and 1/v inserts v twists before the 1/0-style arcs.
 
-Closure arcs are oriented along the boundary circle (counterclockwise);
-each closed component inherits the orientation of its first closure arc,
+Closure arcs are oriented along the boundary circle (counterclockwise).
+A closed component is anchored at its first arc, in join order, whose
+near side reached a crossing, and so inherits that arc's orientation,
 which realizes the tangle-circle induced orientation used by the linking
-number conventions.
+number conventions.  It is named by the "+"-join of its strands that have
+a crossing in the input, in sorted order, or `o<i>` when none has, where
+i counts the loops before it.  A crossing-free circle a closure frees is
+named by all its strands, and is listed before the input's free loops.
+
+Every surgery, closures included, edits one `Wiring` of its input and
+returns the validated diagram of `Wiring.freeze`.
 """
 
 from __future__ import annotations
@@ -40,93 +47,58 @@ def _label_by_endpoint(d: TangleDiagram) -> dict[int, str]:
     }
 
 
-class _Closer:
-    """Joins endpoint pairs with boundary arcs, tracking merged labels.
+def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
+    """Join each endpoint pair (ea, eb) of `arcs` by a boundary arc ea -> eb.
 
-    Arcs are directed (ea -> eb along the circle).  After all joins,
-    `finish` freezes the wiring and assigns each closed component the
-    "+"-join of the strand labels it swallowed, anchored at its first arc
-    so the traversal direction matches the arc direction.
+    With v != 0, |v| twists first go on endpoints 0 and 1; each sends the
+    strand at endpoint 0 out at endpoint 1 and back, so an odd count swaps
+    the strands ending there.  A union-find over the joins collects the
+    strands of each closed component, named and anchored as the module
+    docstring says.  Every closed component with a crossing gets an
+    anchor: when its last arc is joined, every other endpoint of it is
+    joined already, so that arc's near side is a crossing; a component
+    with no crossing is instead closed by that arc as a free circle.
     """
+    w = Wiring.from_diagram(d)
+    owner = [d.component_of_dart[d.ep_dart(e)] for e in range(d.k)]  # strand at each endpoint
+    if v:
+        twist_pair(w, ("e", 0), ("e", 1), v, V_POSITIVE_LEFT_UNDER)
+        if v % 2:
+            owner[0], owner[1] = owner[1], owner[0]
+    root = list(range(len(d.components)))
 
-    def __init__(self, d: TangleDiagram):
-        self.d = d
-        self.w = Wiring.from_diagram(d)
-        self.ep_label = _label_by_endpoint(d)
-        self.groups: dict[str, set[str]] = {lab: {lab} for lab in {v for v in self.ep_label.values()}}
-        self.anchors: list[tuple[str, tuple]] = []  # (label, port) per closure arc
-        self.free: list[str] = []
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i]
+        return i
 
-    def _merge(self, la: str, lb: str) -> str:
-        ga, gb = self.groups[la], self.groups[lb]
-        if ga is not gb:
-            ga |= gb
-            for lab in gb:
-                self.groups[lab] = ga
-        return la
-
-    def join(self, ea: int, eb: int) -> None:
-        """Add the closure arc ea -> eb (circle direction)."""
-        la, lb = self.ep_label[ea], self.ep_label[eb]
-        self._merge(la, lb)
-        joined = self.w.join_through(("e", ea), ("e", eb))
-        if joined is None:  # the strand ran straight ea..eb: arc closes a circle
-            self.free.append(la)
+    freed: list[int] = []
+    anchors: list[tuple[int, tuple]] = []
+    for ea, eb in arcs:
+        root[find(owner[ea])] = find(owner[eb])
+        joined = w.join_through(("e", ea), ("e", eb))
+        if joined is None:  # the arc closed a crossing-free circle
+            freed.append(owner[ea])
         elif joined[0][0] == "x":
-            self.anchors.append((la, joined[0]))
-        self.w.endpoints.remove(ea)
-        self.w.endpoints.remove(eb)
+            anchors.append((owner[ea], joined[0]))
+    w.endpoints.clear()
 
-    def finish(self) -> TangleDiagram:
-        if self.w.endpoints:
-            raise TangleError("closure left open endpoints")
-        raw = self.w.to_diagram(loops=self.anchors)
-        n_old = self.d.n
-        loops: list[tuple[str, int]] = []
-        free: list[str] = []
-        covered: set[int] = set()
+    def name(i: int, crossed: bool) -> str:
+        labels = {
+            comp.label
+            for j, comp in enumerate(d.components)
+            if find(j) == find(i) and (len(comp.out_darts) > 1 or not crossed)
+        }
+        return "+".join(sorted(labels))
 
-        def old_labels(darts) -> list[str]:
-            labs = set()
-            for x in darts:
-                for y in (x, raw.alpha[x]):
-                    if y < 4 * n_old:
-                        labs.add(self.d.label_of(y))
-            return sorted(labs)
-
-        def claim(dart: int, label: str | None) -> None:
-            darts, closed = raw._trace_from(dart)
-            if not closed:
-                raise TangleError("closure produced an open strand")
-            covered.update(darts)
-            covered.update(raw.alpha[x] for x in darts)
-            labs = old_labels(darts)
-            name = label or ("+".join(labs) if labs else f"o{len(loops) + len(free)}")
-            loops.append((name, dart))
-
-        # pre-existing closed components keep label and orientation
-        for lab, anchor in self.d.loops:
-            if anchor not in covered:
-                claim(anchor, lab)
-        # each closure arc whose near side reached a crossing orients a loop
-        for _, dart in raw.loops:
-            if dart not in covered:
-                claim(dart, None)
-        for dart in range(raw.num_darts):
-            if dart not in covered:
-                claim(dart, None)
-        # crossing-free circles: labels merged through arc chains
-        seen_groups: set[int] = set()
-        for lab in self.free:
-            gid = id(self.groups[lab])
-            if gid in seen_groups:
-                continue
-            seen_groups.add(gid)
-            free.append("+".join(sorted(self.groups[lab])))
-        free.extend(self.d.free_loops)
-        return TangleDiagram(
-            raw.n, 0, raw.alpha, (), tuple(loops), tuple(free)
-        ).validate()
+    new_loops: list[tuple[str, tuple]] = []
+    named: set[int] = set()
+    for i, port in anchors:
+        if find(i) not in named:
+            named.add(find(i))
+            new_loops.append((name(i, True) or f"o{len(d.loops) + len(new_loops)}", port))
+    free = tuple(name(i, False) for i in freed)
+    return w.freeze(d, (), free + d.free_loops, new_loops)
 
 
 def cap(d: TangleDiagram, i: int) -> TangleDiagram:
@@ -154,7 +126,7 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     if la != lb:
         ends = [e for e, lab in labels.items() if lab in (la, lb) and e not in (a, b)]
         strings.append((name, min(ends)))
-    return w.freeze(d, strings, free_extra, new_loops)
+    return w.freeze(d, strings, d.free_loops + tuple(free_extra), new_loops)
 
 
 def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
@@ -186,7 +158,7 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
     w.endpoints.remove(p2)
     w.endpoints.sort(key=lambda e: (e - start) % k)
     strings = [(lab, ep) for lab, ep in d.strings if lab != label]
-    return w.freeze(d, strings, free_extra)
+    return w.freeze(d, strings, d.free_loops + tuple(free_extra))
 
 
 def close_with(d: TangleDiagram, filler: TangleFraction) -> TangleDiagram:
@@ -198,22 +170,14 @@ def close_with(d: TangleDiagram, filler: TangleFraction) -> TangleDiagram:
     if d.k != 4:
         raise TangleError("close_with needs a 2-string tangle (4 endpoints)")
     if filler == TangleFraction(0, 1):
-        closer = _Closer(d)
-        closer.join(0, 1)
-        closer.join(2, 3)
-        return closer.finish()
+        return _close(d, ((0, 1), (2, 3)))
     if filler.is_infinity:
         v = 0
     elif abs(filler.p) == 1:
         v = filler.q * filler.p
     else:
         raise TangleError(f"filler must be 0/1, 1/0 or 1/v, got {filler}")
-    closer = _Closer(d)
-    if v:
-        twist_pair(closer.w, ("e", 0), ("e", 1), v, V_POSITIVE_LEFT_UNDER)
-    closer.join(1, 2)
-    closer.join(3, 0)
-    return closer.finish()
+    return _close(d, ((1, 2), (3, 0)), v)
 
 
 def close_numerator(d: TangleDiagram) -> TangleDiagram:
@@ -229,11 +193,7 @@ def close_with_x_arcs(d: TangleDiagram) -> TangleDiagram:
     """
     if d.k != 6:
         raise TangleError("x-arc closure needs a 3-string tangle")
-    closer = _Closer(d)
-    closer.join(0, 1)
-    closer.join(2, 3)
-    closer.join(4, 5)
-    return closer.finish()
+    return _close(d, ((0, 1), (2, 3), (4, 5)))
 
 
 def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
@@ -257,4 +217,4 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
             ends = (comp.start_ep, comp.end_ep)
             anchor = [e for e in ends if e not in (a, b)]
             strings.append((comp.label, min(anchor) if anchor else min(ends)))
-    return w.freeze(d, strings)
+    return w.freeze(d, strings, d.free_loops)

@@ -174,8 +174,6 @@ def canonical_two_bridge(p: int, beta: int) -> TwoBridgeLink:
         raise ValueError(f"b({p},{beta}) is not a 2-bridge link (gcd != 1)")
     cls = _schubert_class(beta, p)
     mcls = _schubert_class(-beta, p)
-    if cls == mcls:
-        return TwoBridgeLink(p, min(cls), 1)
     if min(cls) <= min(mcls):
         return TwoBridgeLink(p, min(cls), 1)
     return TwoBridgeLink(p, min(mcls), -1)

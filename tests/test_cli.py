@@ -251,6 +251,7 @@ class TestBadInput:
             ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "0"],
             ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "1"],
             ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "-1"],
+            ["verify", "--pd", "{duplicate_b}", "--in-trans"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -271,12 +272,16 @@ class TestBadInput:
             "binary": str(tmp_path / "binary"),
             "truncated": str(tmp_path / "truncated.pd"),
             "trivial": str(tmp_path / "trivial.pd"),
+            "duplicate_b": str(tmp_path / "duplicate_b.pd"),
         }
         (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
         (tmp_path / "truncated.pd").write_text("tangle k=0 n=1\nX 1 2 1\n")
         # the crossing-free 3-string tangle
         (tmp_path / "trivial.pd").write_text(
             "tangle k=3 n=0\nB 1 1 2 2 3 3\nS s12: 1\nS s23: 2\nS s31: 3\n"
+        )
+        (tmp_path / "duplicate_b.pd").write_text(
+            "tangle k=3 n=0\nB 1 1 2 2 3 3\nB 1 1 2 2 3 3\nS s12: 1\nS s23: 2\nS s31: 3\n"
         )
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)

@@ -1006,6 +1006,69 @@ def loop_surgery_outputs() -> dict[str, str]:
     return out
 
 
+# Every noncrossing matching of 4 and of 6 boundary endpoints.
+CROSSING_FREE_MATCHINGS = (
+    ((0, 1), (2, 3)),
+    ((0, 3), (1, 2)),
+    ((0, 1), (2, 3), (4, 5)),
+    ((0, 1), (2, 5), (3, 4)),
+    ((0, 3), (1, 2), (4, 5)),
+    ((0, 5), (1, 2), (3, 4)),
+    ((0, 5), (1, 4), (2, 3)),
+)
+
+CLOSURE_FILLERS = tuple(
+    reduce(p, q) for p, q in ((0, 1), (1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3))
+)
+
+
+def closure_sample() -> dict:
+    """Seeded tangles to close, keyed by how each was drawn.
+
+    Every crossing-free 2- and 3-string tangle, random 2- and 3-string
+    tangles with 1 to 6 crossings, the loop tangle (a closed component),
+    and the loop tangle without s12 (a free loop).
+    """
+    rng = random.Random(19)
+    out = {}
+    for matching in CROSSING_FREE_MATCHINGS:
+        labels = ("s12", "s23", "s31")[: len(matching)]
+        out[f"trivial {matching}"] = trivial_tangle(matching, labels)
+    for k in (4, 6):
+        for n in range(1, 7):
+            out[f"k{k} n{n}"] = random_diagram(rng, n, k)
+    out["loop tangle"] = parse_pd(LOOP_TANGLE_PD)
+    out["loop tangle remove s12"] = remove_string(out["loop tangle"], "s12")
+    return out
+
+
+def closure_inputs():
+    """(key, 2-string tangle) of every closed 2-string tangle: the sample's
+    own and the three caps of each of its 3-string tangles."""
+    for key, d in closure_sample().items():
+        if d.k == 4:
+            yield key, d
+        else:
+            for i in (1, 2, 3):
+                yield f"{key} cap {i}", cap(d, i)
+
+
+def closure_outputs() -> dict[str, str]:
+    """emit_pd of every closure on `closure_sample()`.
+
+    The x-arc closure of each 3-string tangle, and every filler of
+    `CLOSURE_FILLERS` on each of `closure_inputs()`.
+    """
+    out = {}
+    for key, d in closure_sample().items():
+        if d.k == 6:
+            out[f"{key} xarcs"] = emit_pd(close_with_x_arcs(d))
+    for key, d in closure_inputs():
+        for f in CLOSURE_FILLERS:
+            out[f"{key} close {f}"] = emit_pd(close_with(d, f))
+    return out
+
+
 class TestSurgery:
     def test_cap_trivial(self):
         capped = cap(trivial_tangle(), 1)
@@ -1063,6 +1126,32 @@ class TestSurgery:
             records = fh.read().split("## ")[1:]
         pinned = dict(record.split("\n", 1) for record in records)
         assert loop_surgery_outputs() == pinned
+
+    def test_closure_outputs_pinned(self):
+        with open("tests/fixtures/closure_outputs.txt", encoding="utf-8") as fh:
+            records = fh.read().split("## ")[1:]
+        pinned = dict(record.split("\n", 1) for record in records)
+        assert closure_outputs() == pinned
+
+    def test_closure_sample_covers_the_order_and_swap_cases(self):
+        # a closure that frees a circle beside a free loop it inherits pins
+        # the order of free loops; a 1/v filler on two different strands at
+        # endpoints 0 and 1 pins the swap an odd twist count makes
+        inputs = dict(closure_inputs())
+        frees_another = [
+            key
+            for key, d in inputs.items()
+            if d.free_loops
+            and len(close_numerator(d).free_loops) > len(d.free_loops)
+        ]
+        assert len(frees_another) >= 3
+        ends = [
+            {c.start_ep: c.label for c in d.components if not c.closed}
+            | {c.end_ep: c.label for c in d.components if not c.closed}
+            for d in inputs.values()
+        ]
+        assert sum(e[0] != e[1] for e in ends) >= 10
+        assert {f.q % 2 for f in CLOSURE_FILLERS if abs(f.p) == 1 and f.q} == {0, 1}
 
 
 class TestLinking:

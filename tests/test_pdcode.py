@@ -143,3 +143,20 @@ class TestErrors:
         with pytest.raises(PDSyntaxError) as err:
             parse_pd(text)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("\nB ", "\nB 99 98 97 96 95 94\nB ", 9),
+            ("tangle k=3 n=6\n", "tangle k=3 n=99\ntangle k=3 n=6\n", 2),
+            ("n=6", "n=6 z=5", 1),
+            ("n=6", "n=6 k=3", 1),
+        ],
+        ids=["second B line", "second header", "unknown header key", "repeated header key"],
+    )
+    def test_duplicate_or_unknown_record_rejected(self, old, new, line):
+        with open("tests/fixtures/pjh.pd", encoding="utf-8") as fh:
+            text = fh.read().replace(old, new, 1)
+        with pytest.raises(PDSyntaxError) as err:
+            parse_pd(text)
+        assert err.value.line == line
