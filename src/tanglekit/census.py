@@ -3,13 +3,16 @@
 Diagrams are generated as planar gluings: n pre-allocated crossings (four
 darts each, counterclockwise) plus the six boundary endpoints in fixed
 circular order.  A backtracking search, one generator frame with an
-explicit stack, matches darts pairwise while maintaining the frontier
-faces of the partial complex; gluing within one frontier face splits it
-(planar), gluing across two components merges them, and gluing two faces
-of one component would add genus and is pruned.  A strand union-find
-rejects closed loops (tangles have three open strands only).  The search's
+explicit stack, matches the lowest unmatched dart with a dart of its own
+frontier face, which splits the face (planar), or with slot 0 of the
+lowest crossing not yet attached, whose hole then joins the face.  Each
+open dart keeps a pointer to the far end of its partial strand, so a glue
+that would close a loop is refused by one comparison (tangles have three
+open strands only), and a split that leaves a face with an odd number of
+open darts, which can never be matched away, is cut.  The search's
 symmetry breaking makes the emitted shadows pairwise distinct, so no dedup
-is needed; each shadow stands for its 2^n over/under variants.
+is needed; each shadow stands for its 2^n over/under variants.  Random
+draws (`random_diagram`) glue on `_Gluing`, the same state kept in dicts.
 
 The classification of each diagram follows the small-crossing theorem's
 disjunction: split, else parallel strands, else reducible under free
@@ -184,11 +187,54 @@ class _Gluing:
 def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
     """Yield completed alpha tuples of planar loop-free shadows.
 
+    The search walks the tree of `_Gluing` and yields its leaves in the
+    same order: the pivot is the lowest unmatched dart (endpoints first),
+    and its candidates are the other darts of its frontier face in list
+    order, then slot 0 of the lowest fresh crossing, less the one dart
+    that would close a loop.  The state is held in flat lists instead, on
+    four facts, each by induction over the glues on the current path:
+
+    * Fresh crossings form a suffix {nf, ..., n-1}.  A crossing leaves
+      the fresh set when one of its darts is glued.  A fresh crossing's
+      darts are candidates only through slot 0 of the lowest one, and a
+      pivot on a fresh crossing is the lowest open dart, so slot 0 of the
+      lowest one too.  One integer `nf` stands for the set.
+    * Only one component has open darts, apart from the fresh holes.
+      Every glue joins the pivot to a dart of its own face (a split, which
+      keeps the component) or to slot 0 of the lowest fresh crossing (which
+      merges that hole into the pivot's component).  A pivot in a fresh
+      hole is the lowest open dart, so no endpoint or earlier crossing has
+      one left, and its split leaves that crossing the one component with
+      open darts.  So no candidate lies in another component, a glue never
+      spans two faces of one component, and `_Gluing`'s component labels,
+      relabel scan and genus refusal never act.  `faces` holds the open
+      darts of each face, in `_Gluing`'s list order, and `face_of` the
+      face of each open dart.  A split keeps its larger part in place and
+      relabels only the darts of the smaller; a fresh join appends the
+      hole's other three darts after the cut, as `_Gluing` would
+      (face[ia+1:] + face[:ia] + hole[1:]).
+    * Path-end pointers stand in for `_Gluing`'s strand union-find.  The
+      darts, joined by crossing transits (d, d ^ 2) and by glues, form
+      paths, and an open dart ends its path; `other[x]` is the far end of
+      the path through the open dart x (x itself for a lone endpoint).
+      Gluing a and b joins two paths, so only the entries of their far
+      ends (the darts other[a] and other[b]) change, and the undo resets
+      them to a and b.  A glue closes a loop exactly when b == other[a],
+      which is the union-find's test that a and b share a root.
+    * Parity cut.  No glue changes the parity of the open darts of a face
+      and its parts: a split of a face of m darts leaves parts of m - 2
+      darts between them, and a fresh join adds two.  Below a face with
+      an odd count, some face stays odd, so nonempty, and no leaf lies
+      there.  So a split that leaves an odd part, or any glue at a pivot
+      whose face is odd, is skipped, but only at nodes of depth >=
+      SHARD_DEPTH: the nodes dealt out to shards, and their numbering,
+      do not depend on the cut.
+
     One generator frame walks the tree with an explicit stack: `frames`
-    holds (candidates, pivot, cursor) for every open node and `undos` the
-    glue of every edge on the current path.  The pivot is the lowest
-    unmatched dart in a fixed order (endpoints first), found by a cursor
-    that only moves forward below a node and is restored on backtrack.
+    holds each open node's candidates and its pivot state, and `edges` the
+    glue of every edge on the current path.  The pivot is found by a
+    cursor that only moves forward below a node and is restored on
+    backtrack.
 
     `shard=(jobs, worker)` searches only this worker's subtrees: the nodes
     at depth SHARD_DEPTH are numbered in search order and node i belongs to
@@ -197,15 +243,24 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
     the leaves exactly.
     """
     jobs, worker = shard or (1, 0)
-    state = _Gluing(n, k)
-    alpha, glue, unglue = state.alpha, state.glue, state.unglue
-    order = [4 * n + j for j in range(k)] + list(range(4 * n))
-    nd = len(order)
+    base = 4 * n
+    nd = base + k
+    alpha = [-1] * nd
+    other = list(range(nd))
+    faces = [list(range(base, nd))]
+    for c in range(0, base, 4):
+        other[c : c + 4] = c + 2, c + 3, c, c + 1
+        faces.append([c, c + 3, c + 2, c + 1])
+    face_of = [0] * nd
+    for fid, face in enumerate(faces):
+        for d in face:
+            face_of[d] = fid
+    order = list(range(base, nd)) + list(range(base))
     frames: list = []
-    undos: list = []
-    at_depth = pos = depth = 0
+    edges: list = []
+    at_depth = pos = depth = nf = 0
     while True:
-        # at a new node, `depth` (= len(undos)) glued edges below the root
+        # at a new node, `depth` (= len(edges)) glued edges below the root
         if depth != SHARD_DEPTH or at_depth % jobs == worker:
             while pos < nd and alpha[order[pos]] >= 0:
                 pos += 1
@@ -213,24 +268,69 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
                 if depth >= SHARD_DEPTH or worker == 0:
                     yield tuple(alpha)
             else:
-                frames.append((iter(state.candidates(order[pos])), order[pos], pos))
+                d0 = order[pos]
+                f = face_of[d0]
+                face = faces[f]
+                od = other[d0]
+                p = face.index(d0)
+                if depth < SHARD_DEPTH:
+                    cands = [d for d in face if d != d0 and d != od]
+                elif len(face) & 1:
+                    cands = []
+                else:
+                    cands = [d for d in face[1 - (p & 1) :: 2] if d != od]
+                if nf < n and d0 >> 2 != nf:
+                    cands.append(4 * nf)
+                frames.append((iter(cands), d0, pos, f, face, p, od, nf))
         if depth == SHARD_DEPTH:
             at_depth += 1
         # descend to the next child of the deepest open node with one left
         while frames:
-            cands, d0, pos = frames[-1]
-            if depth == len(frames):
-                unglue(undos.pop())
+            cands, d0, pos, f, face, p, od, nf = frames[-1]
+            if depth == len(frames):  # undo the glue to the child just left
+                b, pb, small = edges.pop()
                 depth -= 1
-            for b in cands:
-                undo = glue(d0, b)
-                if undo is not None:
-                    undos.append(undo)
-                    depth += 1
-                    break
-            else:
+                alpha[d0] = alpha[b] = -1
+                other[od] = d0
+                other[pb] = b
+                faces[f] = face
+                if small is None:
+                    face_of[b + 1] = face_of[b + 2] = face_of[b + 3] = (b >> 2) + 1
+                else:
+                    faces.pop()
+                    for d in small:
+                        face_of[d] = f
+            b = next(cands, -1)
+            if b < 0:
                 frames.pop()
                 continue
+            alpha[d0] = b
+            alpha[b] = d0
+            pb = other[b]
+            other[od] = pb
+            other[pb] = od
+            if face_of[b] == f:  # split the pivot's face
+                j = face.index(b)
+                lo, hi = (p, j) if p < j else (j, p)
+                inner = face[lo + 1 : hi]
+                outer = face[hi + 1 :] + face[:lo]
+                if len(inner) > len(outer):
+                    faces[f], small = inner, outer
+                else:
+                    faces[f], small = outer, inner
+                g = len(faces)
+                faces.append(small)
+                for d in small:
+                    face_of[d] = g
+                if d0 >> 2 == nf < n:  # the pivot was in the lowest fresh hole
+                    nf += 1
+            else:  # join the lowest fresh crossing's hole to the pivot's face
+                faces[f] = face[p + 1 :] + face[:p] + [b + 3, b + 2, b + 1]
+                face_of[b + 1] = face_of[b + 2] = face_of[b + 3] = f
+                nf += 1
+                small = None
+            edges.append((b, pb, small))
+            depth += 1
             break
         else:
             return

@@ -403,7 +403,7 @@ class Wiring:
         still wired; one with no port left is appended to `free_loops`,
         unless a splice freed it already.  `new_loops` (label, port)
         follow the surviving loops.  The caller orders `free_loops`, `d`'s
-        own among them.
+        own among them.  Two components with one label raise TangleError.
         """
         free_loops = list(free_loops)
         loops = []
@@ -417,6 +417,10 @@ class Wiring:
             elif comp.label not in free_loops:
                 free_loops.append(comp.label)
         loops.extend(new_loops)
+        labels = [lab for lab, _ in strings] + [lab for lab, _ in loops] + free_loops
+        if len(set(labels)) < len(labels):
+            dup = next(lab for lab in labels if labels.count(lab) > 1)
+            raise TangleError(f"two components labelled {dup!r}")
         return self.to_diagram(strings, loops, free_loops).validate()
 
     def to_diagram(

@@ -19,6 +19,11 @@ number conventions.  It is named by the "+"-join of its strands that have
 a crossing in the input, in sorted order, or `o<i>` when none has, where
 i counts the loops before it.  A crossing-free circle a closure frees is
 named by all its strands, and is listed before the input's free loops.
+A new name already held by one of the input's loops, or by a new name
+given before it (closed components first, then freed circles), gets
+primes appended until it is free; so does `cap`'s `shat<i>` when a
+component of the input it keeps holds it.  `emit_pd` thus writes
+distinct S labels, as `parse_pd` requires.
 
 Every surgery, closures included, edits one `Wiring` of its input and
 returns the validated diagram of `Wiring.freeze`.
@@ -45,6 +50,15 @@ def _label_by_endpoint(d: TangleDiagram) -> dict[int, str]:
         if not comp.closed
         for ep in (comp.start_ep, comp.end_ep)
     }
+
+
+def _unused(label: str, taken: set[str]) -> str:
+    """`label`, or `label` with the fewest primes appended that is not in
+    `taken`; the name returned is added to `taken`."""
+    while label in taken:
+        label += "'"
+    taken.add(label)
+    return label
 
 
 def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
@@ -91,13 +105,15 @@ def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
         }
         return "+".join(sorted(labels))
 
+    taken = {comp.label for comp in d.components if comp.closed}
     new_loops: list[tuple[str, tuple]] = []
     named: set[int] = set()
     for i, port in anchors:
         if find(i) not in named:
             named.add(find(i))
-            new_loops.append((name(i, True) or f"o{len(d.loops) + len(new_loops)}", port))
-    free = tuple(name(i, False) for i in freed)
+            label = name(i, True) or f"o{len(d.loops) + len(new_loops)}"
+            new_loops.append((_unused(label, taken), port))
+    free = tuple(_unused(name(i, False), taken) for i in freed)
     return w.freeze(d, (), free + d.free_loops, new_loops)
 
 
@@ -108,7 +124,7 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     a, b = _cap_pair(i)
     labels = _label_by_endpoint(d)
     la, lb = labels[a], labels[b]
-    name = f"shat{i}"
+    name = _unused(f"shat{i}", {comp.label for comp in d.components} - {la, lb})
     w = Wiring.from_diagram(d)
     free_extra: list[str] = []
     new_loops: list[tuple[str, tuple]] = []

@@ -131,7 +131,10 @@ def test_criterion_6_small_crossing_theorem():
     t0 = time.time()
     reports = verify_theorem_4_4(5)
     ok = all(r.holds for r in reports)
+    # every diagram with <= 5 crossings is split
+    ok = ok and [r.total for r in reports] == [5, 72, 1020, 15120, 235248, 3817536]
     for r in reports:
+        ok = ok and r.split == r.total
         ok = ok and (r.total == r.split + r.parallel + r.reducible + len(r.unresolved))
         print(
             f"    n={r.n}: total={r.total} split={r.split} parallel={r.parallel} "

@@ -1,5 +1,6 @@
 """Diagram enumeration and the small-crossing classification."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import count
@@ -185,11 +186,14 @@ class TestGenerator:
             assert fancy == naive
 
     def test_no_duplicates(self):
+        # the open-tangle canonical code separates every diagram at n <= 3
         seen = set()
-        for d in generate_diagrams(2):
-            code = d.canonical_code()
-            assert code not in seen
-            seen.add(code)
+        for n in range(4):
+            for d in generate_diagrams(n):
+                code = d.canonical_code()
+                assert code not in seen
+                seen.add(code)
+        assert len(seen) == 16217
 
     def test_canonical_code_fixed_point(self):
         for d in list(generate_diagrams(1))[:20]:
@@ -230,6 +234,27 @@ class TestGenerator:
                 assert list(_shadow_search(n, shard=shard)) == list(
                     _recursive_shadow_search(n, shard=shard)
                 )
+
+    @pytest.mark.parametrize(
+        "n, shard, leaves, sha256",
+        [
+            (5, None, 119298, "38057d3c14448fc6503dde29485be9ec50c0d9a991dee951bb6f7888a2f3092b"),
+            (5, (2, 0), 60538, "75c1a752bee149d7fb47c37e50158b8d458e2aaebaba46783adab2f1579549bb"),
+            (5, (2, 1), 58760, "9981e3d0bca140c76dc4fa6c76381539acd49ae802981fcbb7fe7042c1fdb553"),
+            (6, (64, 0), 20008, "861ce8aa52480acd2bf2a682a558f67732ffd06db17b30e53af0c685c3f68edc"),
+            (6, (64, 37), 11210, "e6f0472e1b307a7a8a0484553a54e795a7cc5e57126c8a834c261436c01d173d"),
+        ],
+    )
+    def test_search_leaves_pinned(self, n, shard, leaves, sha256):
+        # (count, sha256 over the repr of each leaf, one per line) as the
+        # search on `_Gluing` yields them, at sizes past the reach of the
+        # recursive oracle
+        digest = hashlib.sha256()
+        found = 0
+        for alpha in _shadow_search(n, shard=shard):
+            digest.update(repr(alpha).encode() + b"\n")
+            found += 1
+        assert (found, digest.hexdigest()) == (leaves, sha256)
 
     def test_strings_of_matches_probe_oracle(self):
         # every matching, including those that close a loop or leave

@@ -41,6 +41,7 @@ from tanglekit.diagram import (
 )
 from tanglekit.diagram import identify, invariants
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
+from tanglekit.diagram.core import Wiring
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly
 from tanglekit.errors import BudgetExceeded, TangleError
@@ -1132,6 +1133,56 @@ class TestSurgery:
             records = fh.read().split("## ")[1:]
         pinned = dict(record.split("\n", 1) for record in records)
         assert closure_outputs() == pinned
+
+    @pytest.mark.parametrize(
+        "pd, surgery, labels",
+        [
+            # the twisted loop's o0 beside the free loop o0
+            (
+                "tangle k=2 n=0\nB 1 1 2 2\nS u: 1\nS w: 2\nS o0: 3\n",
+                lambda d: close_with(d, reduce(1, 1)),
+                ["o0'", "o0"],
+            ),
+            # the freed circle u+w beside the free loop u+w
+            (
+                "tangle k=2 n=0\nB 1 1 2 2\nS u: 1\nS w: 2\nS u+w: 3\n",
+                lambda d: close_with(d, reduce(1, 0)),
+                ["u+w'", "u+w"],
+            ),
+            # the closed loop u+w beside the free loop u+w
+            (
+                "tangle k=2 n=2\nX 1 4 2 5\nX 5 2 6 3\nB 1 4 6 3\n"
+                "S u: 1,2,3\nS w: 4,5,6\nS u+w: 7\n",
+                lambda d: close_with(d, reduce(0, 1)),
+                ["u+w'", "u+w"],
+            ),
+            # the joined string shat1 beside the free loop shat1, on pjh.pd
+            (
+                "tangle k=3 n=6\nX 12 3 13 2\nX 1 12 2 11\nX 3 7 4 8\nX 6 4 7 5\n"
+                "X 8 14 9 13\nX 14 10 15 9\nB 1 5 6 10 15 11\nS s12: 1,2,3,4,5\n"
+                "S s23: 6,7,8,9,10\nS s31: 11,12,13,14,15\nS shat1: 20\n",
+                lambda d: cap(d, 1),
+                ["s23", "shat1'", "shat1"],
+            ),
+            # the capped loop shat2 beside the string shat2
+            (
+                "tangle k=3 n=1\nX 2 3 3 4\nB 1 2 4 1 5 5\nS a: 1\nS b: 2,3,4\nS shat2: 5\n",
+                lambda d: cap(d, 2),
+                ["a", "shat2", "shat2'"],
+            ),
+        ],
+        ids=["o-name", "freed-join", "loop-join", "shat-string", "shat-loop"],
+    )
+    def test_new_names_skip_labels_in_use(self, pd, surgery, labels):
+        out = surgery(parse_pd(pd))
+        assert [c.label for c in out.components] == labels
+        text = emit_pd(out)
+        assert emit_pd(parse_pd(text)) == text
+
+    def test_freeze_refuses_a_duplicate_label(self):
+        d = zero_tangle()
+        with pytest.raises(TangleError, match="two components labelled"):
+            Wiring.from_diagram(d).freeze(d, d.strings, (d.strings[0][0],))
 
     def test_closure_sample_covers_the_order_and_swap_cases(self):
         # a closure that frees a circle beside a free loop it inherits pins
