@@ -6,8 +6,9 @@ identical inputs yield byte-identical output).  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a missing or unreadable
 input file, malformed or non-planar PD text, malformed or wrongly shaped
 JSON, a config value that is not a JSON integer, an unknown fact atom, a
-negative --max-crossings, a --jobs below 1, a verify --L or --Lt below 2
-in absolute value and a bad TANGLEKIT_BUDGET), 3 budget exceeded.
+negative --max-crossings, a --jobs below 1, a negative reduce --target,
+a verify --L or --Lt below 2 in absolute value and a bad
+TANGLEKIT_BUDGET), 3 budget exceeded.
 
 Each subcommand imports the modules it runs inside its handler.  A cold
 process without bytecode caches (PYTHONDONTWRITEBYTECODE, a read-only
@@ -201,6 +202,8 @@ def _cmd_reduce(args) -> int:
     from .diagram.pdcode import emit_pd
     from .diagram.rewrite import simplify
 
+    if args.target is not None and args.target < 0:
+        raise UsageError(f"--target must be a non-negative integer, got {args.target}")
     d = _read_pd(args.pd)
     mode = "free" if args.free else "rel_boundary"
     small = simplify(d, mode)

@@ -72,14 +72,15 @@ class TangleDiagram:
 
         Returns (out-darts in order, closed?).
         """
+        alpha, n4 = self.alpha, 4 * self.n
         out: list[int] = []
         d = start
         while True:
             out.append(d)
-            nxt = self.alpha[d]
-            if self.is_ep_dart(nxt):
+            nxt = alpha[d]
+            if nxt >= n4:
                 return tuple(out), False
-            d = self.through(nxt)
+            d = nxt ^ 2  # `through`: slot s + 2 of the same crossing
             if d == start:
                 return tuple(out), True
 
@@ -195,24 +196,31 @@ class TangleDiagram:
     def _pieces(self) -> list[list[int]]:
         """Darts of each connected piece, the boundary's piece first.
 
-        The boundary circle joins every endpoint into one piece.
+        The walk visits nodes, not darts: each crossing once, and the
+        boundary circle, which joins every endpoint, as one node.  A node
+        adds its darts to its piece and reaches the nodes its darts are
+        paired with.  The order of the darts within a piece is not part of
+        the result.
         """
-        n4 = 4 * self.n
-        seen = bytearray(self.num_darts)
-        starts = [list(range(n4, self.num_darts))] if self.k else []
+        n, n4, alpha = self.n, 4 * self.n, self.alpha
+        seen = bytearray(n + 1)  # node n is the boundary circle
         out = []
-        for stack in starts + [[d] for d in range(n4)]:
-            if seen[stack[0]]:
+        for start in ([n] if self.k else []) + list(range(n)):
+            if seen[start]:
                 continue
-            piece = []
+            seen[start] = 1
+            piece: list[int] = []
+            stack = [start]
             while stack:
-                x = stack.pop()
-                if not seen[x]:
-                    seen[x] = 1
-                    piece.append(x)
-                    stack.append(self.alpha[x])
-                    if x < n4:
-                        stack.extend(range(x & ~3, (x | 3) + 1))
+                v = stack.pop()
+                darts = range(4 * v, 4 * v + 4) if v < n else range(n4, self.num_darts)
+                piece.extend(darts)
+                for x in darts:
+                    t = alpha[x]
+                    u = t >> 2 if t < n4 else n
+                    if not seen[u]:
+                        seen[u] = 1
+                        stack.append(u)
             out.append(piece)
         return out
 
@@ -320,6 +328,101 @@ def switch_crossings(alpha: tuple[int, ...], crossings) -> tuple[tuple[int, ...]
     return tuple(new_alpha), remap
 
 
+def _reanchor(d: TangleDiagram, alive, strings, free_loops, new_loops=()):
+    """The loops and free loops of a diagram made from `d`.
+
+    Each loop of `d` is anchored at the first out-dart of its traversal
+    that `alive` keeps; one with none left is appended to the free loops,
+    unless a splice freed it already.  Returns (`d`'s loops anchored at
+    their old darts, free loop labels).  A label held twice among
+    `strings`, those loops, `new_loops` and the free loops raises
+    TangleError.
+    """
+    free = list(free_loops)
+    loops = []
+    for label, start in d.loops:
+        darts, _ = d._trace_from(start)
+        anchor = next((x for x in darts if alive(x)), None)
+        if anchor is not None:
+            loops.append((label, anchor))
+        elif label not in free:
+            free.append(label)
+    labels = [lab for lab, _ in (*strings, *loops, *new_loops)] + free
+    if len(set(labels)) < len(labels):
+        dup = next(lab for lab in labels if labels.count(lab) > 1)
+        raise TangleError(f"two components labelled {dup!r}")
+    return loops, free
+
+
+def splice(d: TangleDiagram, cuts, endpoints, strings) -> TangleDiagram:
+    """Take crossings out of `d`, splicing strands through them; unvalidated.
+
+    `cuts` lists (crossing, slots): in order, the strand through each
+    listed slot is joined to the far side of the crossing, reading the
+    pairing as the earlier joins left it, and a join whose two ports were
+    paired with each other frees a crossing-free circle, named by its
+    label in `d`.  The crossing's unlisted ports are dropped with it.
+    `endpoints` gives `d`'s endpoint ids that stay, in their new boundary
+    order, and `strings` the (label, endpoint id) of each string, in the
+    order to list them.  Surviving crossings keep their relative order,
+    and each loop is anchored as `_reanchor` says.  Freed circles follow
+    `d`'s free loops.  An arc with one end at a dropped port or endpoint
+    must have both ends there, as the arcs of the string `remove_string`
+    deletes do.
+
+    Planarity: a small disk around a crossing meets the rest of the map
+    only in the crossing's four edges.  Taking the 4-valent vertex out and
+    joining edges in pairs by arcs inside that disk keeps the map planar
+    when the arcs can be drawn disjoint, that is when no two joined pairs
+    interleave around the disk; deleting edges keeps it planar as well.
+    One transit spliced with the other strand deleted (`remove_string`)
+    is a single arc.  Both transits of one crossing interleave around its
+    own disk, so a move splicing both draws its arcs in a larger disk:
+    the crossing with its kink (R1), the two crossings with their bigon
+    (R2), or the crossing with its face toward the boundary (untwist,
+    pull), around which, once the move has re-ordered its endpoints, the
+    joined ends do not interleave.  Each applier's docstring names its
+    disk.  So a chain of splices needs one `validate`, at its end.
+    """
+    n4 = 4 * d.n
+    alpha = list(d.alpha)
+    gone = bytearray(d.n)
+    freed: list[str] = []
+    for c, slots in cuts:
+        for s in slots:
+            p, q = 4 * c + s % 4, 4 * c + (s + 2) % 4
+            a, b = alpha[p], alpha[q]
+            if a == q:
+                freed.append(d.label_of(p))
+            else:
+                alpha[a] = b
+                alpha[b] = a
+        gone[c] = 1
+    new = [-1] * len(alpha)  # old dart -> new dart, -1 when dropped
+    m = 0
+    for c in range(d.n):
+        if not gone[c]:
+            new[4 * c:4 * c + 4] = range(4 * m, 4 * m + 4)
+            m += 1
+    for i, e in enumerate(endpoints):
+        new[n4 + e] = 4 * m + i
+    out = [0] * (4 * m + len(endpoints))
+    for x, y in enumerate(new):
+        if y >= 0:
+            out[y] = new[alpha[x]]
+    loops, free = _reanchor(
+        d, lambda x: not gone[x >> 2], strings, d.free_loops + tuple(freed)
+    )
+    return TangleDiagram(
+        m,
+        len(endpoints),
+        tuple(out),
+        tuple((lab, new[n4 + e] - 4 * m) for lab, e in strings),
+        tuple((lab, new[x]) for lab, x in loops),
+        tuple(free),
+    )
+
+
 class Wiring:
     """Mutable scratch structure for building and rewriting diagrams.
 
@@ -328,12 +431,13 @@ class Wiring:
     renumbered on freeze in `order` order.  Only `port` and `to_diagram`
     translate between ids and dart numbers.
 
-    The Reidemeister moves and the surgeries `cap`, `remove_string`,
-    `add_boundary_twists` and the closures edit `from_diagram(d)` of
-    their input `d` through two primitives: `splice_out` takes one
-    crossing out, and `freeze` re-anchors `d`'s loops and returns the
-    validated result.  The caller orders the free loops: a move lists
-    `d`'s first, a closure the circles it freed first.
+    The builders, the closures, `cap`, `add_boundary_twists`, the R1 kink
+    and R2 push and the R3 slide edit `from_diagram(d)` of their input `d`
+    (or a fresh wiring) and return `freeze`, which re-anchors `d`'s loops
+    as `splice` does and validates the result.  The reduction moves and
+    `remove_string` only take crossings out, and use `splice` on flat
+    dart lists instead.  The caller orders the free loops: a closure
+    lists the circles it freed first.
     """
 
     def __init__(self):
@@ -382,46 +486,18 @@ class Wiring:
         self.connect(a, b)
         return (a, b)
 
-    def splice_out(self, d: TangleDiagram, c: int, slots, freed: list[str]) -> None:
-        """Take crossing c out, splicing the strand through each of `slots`.
-
-        Each listed slot's strand is joined through to the opposite slot;
-        the crossing's other ports are dropped.  The label in `d` of each
-        splice that closed a crossing-free circle is appended to `freed`.
-        """
-        for s in slots:
-            if self.join_through(("x", c, s % 4), ("x", c, (s + 2) % 4)) is None:
-                freed.append(d.label_of(4 * c + s % 4))
-        for s in range(4):
-            self.mate.pop(("x", c, s), None)
-        self.order.remove(c)
-
     def freeze(self, d: TangleDiagram, strings, free_loops, new_loops=()) -> TangleDiagram:
         """The validated diagram of this wiring, made from `d`.
 
-        Each loop of `d` is anchored at the first port of its traversal
-        still wired; one with no port left is appended to `free_loops`,
-        unless a splice freed it already.  `new_loops` (label, port)
-        follow the surviving loops.  The caller orders `free_loops`, `d`'s
-        own among them.  Two components with one label raise TangleError.
+        `d`'s loops are anchored by `_reanchor` at ports still wired, and
+        `new_loops` (label, port) follow them.  The caller orders
+        `free_loops`, `d`'s own among them.
         """
-        free_loops = list(free_loops)
-        loops = []
-        for comp in d.components:
-            if not comp.closed or not comp.out_darts:
-                continue
-            ports = (self.port(d, dart) for dart in comp.out_darts)
-            anchor = next((p for p in ports if p in self.mate), None)
-            if anchor is not None:
-                loops.append((comp.label, anchor))
-            elif comp.label not in free_loops:
-                free_loops.append(comp.label)
-        loops.extend(new_loops)
-        labels = [lab for lab, _ in strings] + [lab for lab, _ in loops] + free_loops
-        if len(set(labels)) < len(labels):
-            dup = next(lab for lab in labels if labels.count(lab) > 1)
-            raise TangleError(f"two components labelled {dup!r}")
-        return self.to_diagram(strings, loops, free_loops).validate()
+        loops, free = _reanchor(
+            d, lambda x: self.port(d, x) in self.mate, strings, free_loops, new_loops
+        )
+        loops = [(lab, self.port(d, x)) for lab, x in loops] + list(new_loops)
+        return self.to_diagram(strings, loops, free).validate()
 
     def to_diagram(
         self,

@@ -18,17 +18,21 @@ crossings with other strands (see each applier).  The *_add appliers (R1,
 R2) and the R3 slide exist for the invariance property suite; they are not
 used by the reducer.
 
-Every applier edits one `Wiring` of its input, taking crossings out with
-`Wiring.splice_out`, and returns the validated diagram of
-`Wiring.freeze`.  The R2 push and the R3 slide place the ports of their
-new crossings by a planarity argument given in their docstrings, so each
-builds its one result once.
+The reduction moves only take crossings out.  Each is one `core.splice`
+of its input's flat dart list: `simplify` chains the unvalidated splices
+and validates once, at the end, by the planarity argument `splice` and
+each applier's docstring give, and each public applier returns its
+splice validated.  The R1 kink, the R2 push and the R3 slide add
+crossings, so each edits one `Wiring` of its input and returns the
+validated diagram of `Wiring.freeze`; the push and the slide place the
+ports of their new crossings by a planarity argument given in their
+docstrings, so each builds its one result once.
 """
 
 from __future__ import annotations
 
 from ..errors import TangleError
-from .core import TangleDiagram, Wiring
+from .core import TangleDiagram, Wiring, splice
 
 
 # -- shared bookkeeping --------------------------------------------------------
@@ -39,25 +43,33 @@ def _transit(c: int, s: int) -> tuple[tuple, tuple]:
     return ("x", c, s % 4), ("x", c, (s + 2) % 4)
 
 
-def _finish(
-    d: TangleDiagram,
-    w: Wiring,
-    free_labels: list[str],
-    string_anchor: dict[str, int] | None = None,
-) -> TangleDiagram:
-    """`w.freeze` with the strings listed in boundary order.
-
-    `string_anchor` maps labels to endpoint ids when the move touched the
-    boundary; otherwise old anchors are reused.
-    """
-    if string_anchor is None:
-        string_anchor = dict(d.strings)
-    label_at = {eid: lab for lab, eid in string_anchor.items()}
+def _finish(d: TangleDiagram, w: Wiring) -> TangleDiagram:
+    """`w.freeze` with `d`'s strings listed in boundary order."""
+    label_at = {eid: lab for lab, eid in dict(d.strings).items()}
     strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
-    return w.freeze(d, strings, d.free_loops + tuple(free_labels))
+    return w.freeze(d, strings, d.free_loops)
+
+
+def _splice(d: TangleDiagram, cuts, endpoints=None, anchors=None) -> TangleDiagram:
+    """`splice` with the strings listed in boundary order.
+
+    `endpoints` is the new boundary order, by default the old one;
+    `anchors` maps each string's label to an endpoint id when the move
+    moved an endpoint, by default as `d.strings` does.
+    """
+    if endpoints is None:
+        endpoints = range(d.k)
+    if anchors is None:
+        anchors = dict(d.strings)
+    label_at = {eid: lab for lab, eid in anchors.items()}
+    strings = [(label_at[eid], eid) for eid in endpoints if eid in label_at]
+    return splice(d, cuts, endpoints, strings)
 
 
 # -- reduction moves -----------------------------------------------------------
+#
+# Each move has an unvalidated step, `_r1` and so on, which `simplify`
+# chains, and a public applier that returns the step's result validated.
 
 
 def r1_matches(d: TangleDiagram):
@@ -68,18 +80,20 @@ def r1_matches(d: TangleDiagram):
                 break
 
 
+def _r1(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    return _splice(d, ((match[0], (0, 1)),))
+
+
 def apply_r1(d: TangleDiagram, match: tuple) -> TangleDiagram:
     """Remove the kinked crossing, splicing both of its strands through.
 
-    Raises no string's count of crossings with other strands: a splice
-    joins the two halves of one strand, so every arc keeps its component
-    and every other crossing its pair of strands, and one crossing goes.
+    Planar: the joined ends lie around the disk of the crossing and its
+    kink without interleaving.  Raises no string's count of crossings
+    with other strands: a splice joins the two halves of one strand, so
+    every arc keeps its component and every other crossing its pair of
+    strands, and one crossing goes.
     """
-    c, _ = match
-    w = Wiring.from_diagram(d)
-    free: list[str] = []
-    w.splice_out(d, c, (0, 1), free)
-    return _finish(d, w, free)
+    return _r1(d, match).validate()
 
 
 def r2_matches(d: TangleDiagram):
@@ -97,18 +111,20 @@ def r2_matches(d: TangleDiagram):
                 yield (c, s, dd, t)
 
 
+def _r2(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    c, _, dd, _ = match
+    return _splice(d, ((c, (0, 1)), (dd, (0, 1))))
+
+
 def apply_r2(d: TangleDiagram, match: tuple) -> TangleDiagram:
     """Remove the bigon's two crossings, splicing their strands through.
 
-    Raises no string's count of crossings with other strands, as in R1:
-    the splices keep every arc on its component, and two crossings go.
+    Planar: the joined ends lie around the disk of the two crossings and
+    their bigon without interleaving.  Raises no string's count of
+    crossings with other strands, as in R1: the splices keep every arc on
+    its component, and two crossings go.
     """
-    c, _, dd, _ = match
-    w = Wiring.from_diagram(d)
-    free: list[str] = []
-    w.splice_out(d, c, (0, 1), free)
-    w.splice_out(d, dd, (0, 1), free)
-    return _finish(d, w, free)
+    return _r2(d, match).validate()
 
 
 def untwist_matches(d: TangleDiagram):
@@ -122,31 +138,35 @@ def untwist_matches(d: TangleDiagram):
                 break
 
 
+def _untwist(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    c, s = match
+    ep_a = d.alpha[4 * c + s] - 4 * d.n
+    ep_b = d.alpha[4 * c + (s + 1) % 4] - 4 * d.n
+    endpoints = [e for e in range(d.k) if e != ep_a]
+    endpoints.insert(endpoints.index(ep_b) + 1, ep_a)
+    # a string ending at a or b is anchored at its other end; the one
+    # string running from a to b at b's old spot, which now holds a's end
+    anchors = {}
+    for comp in d.components:
+        if not comp.closed:
+            keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
+            anchors[comp.label] = keep[0] if keep else ep_a
+    return _splice(d, ((c, (s, s + 1)),), endpoints, anchors)
+
+
 def apply_untwist(d: TangleDiagram, match: tuple) -> TangleDiagram:
     """Unwind crossing c by swapping the boundary spots of its two strands.
 
     Slots s and s+1 run straight to endpoints a and b.  Splicing c out
     leaves each strand ending at its own endpoint id; then a's end moves
-    to b's spot and b's end to a fresh spot just before it.  Raises no
-    string's count of crossings with other strands: the splices keep
-    every arc on its component, moving an endpoint along the empty corner
-    face crosses nothing, and one crossing goes.
+    to b's spot and b's end to a fresh spot just before it.  Planar: the
+    joined ends lie around the disk of the crossing and its corner face
+    on the boundary without interleaving once a and b have swapped.
+    Raises no string's count of crossings with other strands: the splices
+    keep every arc on its component, moving an endpoint along the empty
+    corner face crosses nothing, and one crossing goes.
     """
-    c, s = match
-    ep_a = d.alpha[4 * c + s] - 4 * d.n
-    ep_b = d.alpha[4 * c + (s + 1) % 4] - 4 * d.n
-    w = Wiring.from_diagram(d)
-    w.splice_out(d, c, (s, s + 1), [])
-    w.endpoints.remove(ep_a)
-    w.endpoints.insert(w.endpoints.index(ep_b) + 1, ep_a)
-    # a string ending at a or b is anchored at its other end; the one
-    # string running from a to b at b's old spot, which now holds a's end
-    anchors: dict[str, int] = {}
-    for comp in d.components:
-        if not comp.closed:
-            keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
-            anchors[comp.label] = keep[0] if keep else ep_a
-    return _finish(d, w, [], string_anchor=anchors)
+    return _untwist(d, match).validate()
 
 
 def pull_matches(d: TangleDiagram):
@@ -176,15 +196,7 @@ def pull_matches(d: TangleDiagram):
                 yield (c, j, m)
 
 
-def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
-    """Take crossing c out and move endpoint p into the face's boundary gap.
-
-    The strand through slot j keeps running to endpoint p, whose end is
-    re-routed through the face; the strand through j+1 is spliced.  Raises
-    no string's count of crossings with other strands: the splices keep
-    every arc on its component, the re-routed end runs inside one face and
-    so crosses nothing, and one crossing goes.
-    """
+def _pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
     c, j, m = match
     nd = d.num_darts
     ep_p = d.alpha[4 * c + j] - 4 * d.n
@@ -200,43 +212,52 @@ def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
             break
     if gap is None:
         raise TangleError("pull move without boundary gap")
-    w = Wiring.from_diagram(d)
-    free: list[str] = []
-    w.splice_out(d, c, (j, j + 1), free)
-    # relocate endpoint p into the chosen gap
+    endpoints = list(range(d.k))
     if ep_p not in gap:  # a gap flanked by p itself leaves the order as is
-        w.endpoints.remove(ep_p)
-        w.endpoints.insert(w.endpoints.index(gap[1]), ep_p)
-    return _finish(d, w, free)
+        endpoints.remove(ep_p)
+        endpoints.insert(endpoints.index(gap[1]), ep_p)
+    return _splice(d, ((c, (j, j + 1)),), endpoints)
+
+
+def apply_pull(d: TangleDiagram, match: tuple) -> TangleDiagram:
+    """Take crossing c out and move endpoint p into the face's boundary gap.
+
+    The strand through slot j keeps running to endpoint p, whose end is
+    re-routed through the face; the strand through j+1 is spliced.
+    Planar: the joined ends lie around the disk of the crossing and the
+    face, which reaches the boundary at the gap, without interleaving once
+    p sits in the gap.  Raises no string's count of crossings with other
+    strands: the splices keep every arc on its component, the re-routed
+    end runs inside one face and so crosses nothing, and one crossing
+    goes.
+    """
+    return _pull(d, match).validate()
 
 
 _MODES = ("rel_boundary", "free")
+_REL_MOVES = ((r1_matches, _r1), (r2_matches, _r2))
+_FREE_MOVES = _REL_MOVES + ((untwist_matches, _untwist), (pull_matches, _pull))
 
 
 def simplify(d: TangleDiagram, mode: str = "rel_boundary") -> TangleDiagram:
-    """Reduce to a fixed point of the move set for `mode`."""
+    """Reduce to a fixed point of the move set for `mode`.
+
+    Each pass applies the first move in the order R1, R2, untwist, pull
+    that has a match.  The steps run unvalidated (see `splice`), and the
+    result is validated once, when a move applied.
+    """
     if mode not in _MODES:
         raise TangleError(f"mode must be one of {_MODES}")
+    moves = _FREE_MOVES if mode == "free" and d.k else _REL_MOVES
     cur = d
     while True:
-        match = next(iter(r1_matches(cur)), None)
-        if match is not None:
-            cur = apply_r1(cur, match)
-            continue
-        match = next(iter(r2_matches(cur)), None)
-        if match is not None:
-            cur = apply_r2(cur, match)
-            continue
-        if mode == "free" and cur.k:
-            match = next(iter(untwist_matches(cur)), None)
+        for matches, step in moves:
+            match = next(matches(cur), None)
             if match is not None:
-                cur = apply_untwist(cur, match)
-                continue
-            match = next(iter(pull_matches(cur)), None)
-            if match is not None:
-                cur = apply_pull(cur, match)
-                continue
-        return cur
+                cur = step(cur, match)
+                break
+        else:
+            return cur if cur is d else cur.validate()
 
 
 # -- move appliers for the invariance suite -------------------------------------
@@ -251,7 +272,7 @@ def apply_r1_add(d: TangleDiagram, out_dart: int, kind: int) -> TangleDiagram:
     w.connect(u, ("x", c, (kind + 2) % 4))
     w.connect(("x", c, kind), ("x", c, (kind + 1) % 4))
     w.connect(("x", c, (kind + 3) % 4), v)
-    return _finish(d, w, [])
+    return _finish(d, w)
 
 
 def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) -> TangleDiagram:
@@ -281,7 +302,7 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
     w.connect(u2, ("x", cp, S))
     w.connect(("x", cp, N), ("x", cq, S))
     w.connect(("x", cq, N), v2)
-    return _finish(d, w, [])
+    return _finish(d, w)
 
 
 def r3_triangles(d: TangleDiagram):
@@ -365,4 +386,4 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
     w.connect(mp, ("x", q2, m_in))
     w.connect(("x", q2, m_out), ("x", p2, m_in))
     w.connect(("x", p2, m_out), mq)
-    return _finish(d, w, [])
+    return _finish(d, w)

@@ -25,7 +25,9 @@ primes appended until it is free; so does `cap`'s `shat<i>` when a
 component of the input it keeps holds it.  `emit_pd` thus writes
 distinct S labels, as `parse_pd` requires.
 
-Every surgery, closures included, edits one `Wiring` of its input and
+`remove_string` only takes crossings out, so it is one `core.splice` of
+its input's flat dart list, validated.  Every other surgery, closures
+included, adds arcs or crossings: it edits one `Wiring` of its input and
 returns the validated diagram of `Wiring.freeze`.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 from ..errors import TangleError
 from ..rational import TangleFraction
 from .build import twist_pair, V_POSITIVE_LEFT_UNDER
-from .core import TangleDiagram, Wiring
+from .core import TangleDiagram, Wiring, splice
 
 
 def _cap_pair(i: int) -> tuple[int, int]:
@@ -146,22 +148,22 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
 
 
 def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
-    """Delete a string and every crossing it participates in."""
+    """Delete a string and every crossing it participates in.
+
+    One `splice`: each crossing of the string goes, the other strand's
+    transit through it spliced (none at a self-crossing), so only the
+    string's own arcs end at dropped ports.
+    """
     comp = d.component_by_label(label)
     if comp.closed:
         raise TangleError(f"{label!r} is not an open string")
     idx = d.components.index(comp)
-    w = Wiring.from_diagram(d)
-    free_extra: list[str] = []
+    cuts = []
     for c, (under, over) in enumerate(d.crossing_strands):
         if idx not in (under, over):
             continue
         keep = 1 if under == idx else 0  # surviving transit parity
-        w.splice_out(d, c, (keep,) if under != over else (), free_extra)
-    # drop the removed string's leftover material
-    material = set(comp.out_darts) | {d.alpha[x] for x in comp.out_darts}
-    for dart in material:
-        w.mate.pop(Wiring.port(d, dart), None)
+        cuts.append((c, (keep,) if under != over else ()))
     p1, p2 = sorted((comp.start_ep, comp.end_ep))
     k = d.k
     if (p1 + 1) % k == p2:
@@ -170,11 +172,10 @@ def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
         start = (p2 - 1) % k
     else:
         start = min(e for e in range(k) if e not in (p1, p2))
-    w.endpoints.remove(p1)
-    w.endpoints.remove(p2)
-    w.endpoints.sort(key=lambda e: (e - start) % k)
+    endpoints = [e for e in range(k) if e not in (p1, p2)]
+    endpoints.sort(key=lambda e: (e - start) % k)
     strings = [(lab, ep) for lab, ep in d.strings if lab != label]
-    return w.freeze(d, strings, d.free_loops + tuple(free_extra))
+    return splice(d, cuts, endpoints, strings).validate()
 
 
 def close_with(d: TangleDiagram, filler: TangleFraction) -> TangleDiagram:

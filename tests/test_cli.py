@@ -245,6 +245,7 @@ class TestBadInput:
             ["enumerate", "--max-crossings", "-1"],
             ["enumerate", "--max-crossings", "1", "--jobs", "0"],
             ["enumerate", "--max-crossings", "1", "--jobs", "-3"],
+            ["reduce", "--pd", "tests/fixtures/pjh.pd", "--target", "-1"],
             ["verify", "--pd", "{trivial}", "--L", "0"],
             ["verify", "--pd", "{trivial}", "--L", "1"],
             ["verify", "--pd", "{trivial}", "--L", "-1"],

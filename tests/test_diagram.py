@@ -130,6 +130,87 @@ class TestCore:
             d = _random_closed_diagram(seed, n, "numerator", 2, free)
         assert d.faces == _method_faces(d)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 6),
+        st.sampled_from([0, 4, 6]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_pieces_match_dart_walk(self, seed, n, k, extra, free):
+        # k = 4 draws are capped 3-string tangles, which have loops when a
+        # cap joins a string to itself; closed pieces beside bring loops
+        # and free loops of their own
+        rng = random.Random(seed)
+        if k == 6:
+            d = random_diagram(rng, n, k=6)
+        elif k == 4:
+            d = cap(random_diagram(rng, n, k=6), rng.choice((1, 2, 3)))
+        else:
+            d = _random_closed_diagram(seed, n, rng.choice(["numerator", "x_arcs"]), 1, 0)
+        d = TangleDiagram(
+            d.n, d.k, d.alpha, d.strings, d.loops,
+            d.free_loops + tuple(f"f{i}" for i in range(free)),
+        )
+        for _ in range(extra):
+            closed = _random_closed_diagram(
+                rng.randrange(2**32), rng.randint(0, 4), "x_arcs", 1, rng.randint(0, 1)
+            )
+            d = _beside(d, closed)
+        d.validate()
+        got, want = d._pieces(), _pieces_by_darts(d)
+        assert sorted(map(sorted, got)) == sorted(map(sorted, want))
+        if d.k:
+            assert set(got[0]) == set(want[0]) >= set(range(4 * d.n, d.num_darts))
+
+
+def _pieces_by_darts(d):
+    """`_pieces` as first written, pushing darts rather than crossings;
+    kept as an oracle."""
+    n4 = 4 * d.n
+    seen = bytearray(d.num_darts)
+    starts = [list(range(n4, d.num_darts))] if d.k else []
+    out = []
+    for stack in starts + [[x] for x in range(n4)]:
+        if seen[stack[0]]:
+            continue
+        piece = []
+        while stack:
+            x = stack.pop()
+            if not seen[x]:
+                seen[x] = 1
+                piece.append(x)
+                stack.append(d.alpha[x])
+                if x < n4:
+                    stack.extend(range(x & ~3, (x | 3) + 1))
+        out.append(piece)
+    return out
+
+
+def _beside(d, c):
+    """`d` with the closed diagram `c` drawn beside it, as more pieces.
+
+    `c`'s crossings follow `d`'s, and `c`'s component labels get a "b"
+    prefix.
+    """
+    n4, shift = 4 * d.n, 4 * c.n
+
+    def move(x):
+        return x if x < n4 else x + shift
+
+    return TangleDiagram(
+        d.n + c.n,
+        d.k,
+        tuple(move(x) for x in d.alpha[:n4])
+        + tuple(x + n4 for x in c.alpha)
+        + tuple(move(x) for x in d.alpha[n4:]),
+        d.strings,
+        tuple((lab, move(x)) for lab, x in d.loops)
+        + tuple((f"b{lab}", x + n4) for lab, x in c.loops),
+        d.free_loops + tuple(f"b{lab}" for lab in c.free_loops),
+    )
+
 
 def _method_faces(d):
     """Faces traced through per-dart sigma and alpha functions on the
@@ -412,18 +493,6 @@ def _read_fixture(name):
         return parse_pd(fh.read())
 
 
-def _disjoint_union(d1, d2):
-    """Two closed diagrams side by side: one diagram of two pieces."""
-    shift = 4 * d1.n
-    return TangleDiagram(
-        d1.n + d2.n,
-        0,
-        d1.alpha + tuple(x + shift for x in d2.alpha),
-        (),
-        d1.loops + tuple((f"b{label}", x + shift) for label, x in d2.loops),
-    )
-
-
 class TestGoeritzDeterminant:
     """The production cross-check equals the determinant of the bracket
     from the 2^n state sum."""
@@ -465,7 +534,7 @@ class TestGoeritzDeterminant:
             trefoil.n, 0, trefoil.alpha, (), trefoil.loops, trefoil.free_loops + ("f",)
         )
         assert goeritz_determinant(with_loop) == 0
-        two = _disjoint_union(trefoil, trefoil).validate()
+        two = _beside(trefoil, trefoil).validate()
         assert goeritz_determinant(two) == 0 == determinant(_oracle_fingerprint(two))
 
     def test_refuses_a_non_planar_map(self):

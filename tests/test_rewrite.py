@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tanglekit._poly import LaurentPoly
 from tanglekit.census import random_diagram
 from tanglekit.diagram import (
+    TangleDiagram,
     Wiring,
     add_boundary_twists,
     bracket_state_sum,
@@ -27,9 +28,14 @@ from tanglekit.diagram import (
     trivial_tangle,
     zero_tangle,
 )
+from tanglekit.diagram.pdcode import parse_pd
 from tanglekit.diagram.rewrite import (
     _finish,
+    _pull,
+    _r1,
+    _r2,
     _transit,
+    _untwist,
     apply_pull,
     apply_r1,
     apply_r1_add,
@@ -171,7 +177,7 @@ def r2_push_by_trials(d, d1, d2, over_first=True):
         w.connect(("x", cp, N), ("x", cq, S))
         w.connect(("x", cq, N), v2)
         try:
-            return _finish(d, w, [])
+            return _finish(d, w)
         except TangleError:
             continue
     raise TangleError("R2 push failed to embed")
@@ -227,7 +233,7 @@ def r3_slide_by_trials(d, match):
         w.connect(mp, ("x", q2, m_pin))
         w.connect(("x", q2, m_end), ("x", p2, m_in))
         w.connect(("x", p2, m_out), mq)
-        return _finish(d, w, [])
+        return _finish(d, w)
 
     for rot_p in range(4):
         for rot_q in range(4):
@@ -472,3 +478,284 @@ class TestLinkingInvariance:
             got = linking_matrix(red)
             for key, val in got.items():
                 assert base[key] == val
+
+
+# -- the Wiring appliers the flat splice replaced, kept as its oracle ----------
+
+
+def _wiring_splice_out(w, d, c, slots, freed):
+    """Take crossing c out of `w`, splicing the strand through each slot."""
+    for s in slots:
+        if w.join_through(*_transit(c, s)) is None:
+            freed.append(d.label_of(4 * c + s % 4))
+    for s in range(4):
+        w.mate.pop(("x", c, s), None)
+    w.order.remove(c)
+
+
+def _wiring_freeze(d, w, strings, free_loops):
+    """`Wiring.freeze` as it was, re-anchoring loops on its own."""
+    free_loops = list(free_loops)
+    loops = []
+    for comp in d.components:
+        if not comp.closed or not comp.out_darts:
+            continue
+        ports = (Wiring.port(d, dart) for dart in comp.out_darts)
+        anchor = next((p for p in ports if p in w.mate), None)
+        if anchor is not None:
+            loops.append((comp.label, anchor))
+        elif comp.label not in free_loops:
+            free_loops.append(comp.label)
+    labels = [lab for lab, _ in strings] + [lab for lab, _ in loops] + free_loops
+    if len(set(labels)) < len(labels):
+        raise TangleError("two components with one label")
+    return w.to_diagram(strings, loops, free_loops).validate()
+
+
+def _wiring_finish(d, w, freed, anchors=None):
+    label_at = {eid: lab for lab, eid in (anchors or dict(d.strings)).items()}
+    strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
+    return _wiring_freeze(d, w, strings, d.free_loops + tuple(freed))
+
+
+def wiring_r1(d, match):
+    w, freed = Wiring.from_diagram(d), []
+    _wiring_splice_out(w, d, match[0], (0, 1), freed)
+    return _wiring_finish(d, w, freed)
+
+
+def wiring_r2(d, match):
+    c, _, dd, _ = match
+    w, freed = Wiring.from_diagram(d), []
+    _wiring_splice_out(w, d, c, (0, 1), freed)
+    _wiring_splice_out(w, d, dd, (0, 1), freed)
+    return _wiring_finish(d, w, freed)
+
+
+def wiring_untwist(d, match):
+    c, s = match
+    ep_a = d.alpha[4 * c + s] - 4 * d.n
+    ep_b = d.alpha[4 * c + (s + 1) % 4] - 4 * d.n
+    w = Wiring.from_diagram(d)
+    _wiring_splice_out(w, d, c, (s, s + 1), [])
+    w.endpoints.remove(ep_a)
+    w.endpoints.insert(w.endpoints.index(ep_b) + 1, ep_a)
+    anchors = {}
+    for comp in d.components:
+        if not comp.closed:
+            keep = [e for e in (comp.start_ep, comp.end_ep) if e not in (ep_a, ep_b)]
+            anchors[comp.label] = keep[0] if keep else ep_a
+    return _wiring_finish(d, w, [], anchors)
+
+
+def wiring_pull(d, match):
+    c, j, m = match
+    nd = d.num_darts
+    ep_p = d.alpha[4 * c + j] - 4 * d.n
+    face = d.faces[d.face_of_dart[4 * c + (m + 1) % 4]]
+    start = face.index(4 * c + (m + 1) % 4)
+    gap = None
+    for off in range(len(face)):
+        x = face[(start + off) % len(face)]
+        if x >= nd:
+            jg, kind = divmod(x - nd, 2)
+            gap = (jg, (jg + 1) % d.k) if kind == 0 else ((jg - 1) % d.k, jg)
+            break
+    if gap is None:
+        raise TangleError("pull move without boundary gap")
+    w, freed = Wiring.from_diagram(d), []
+    _wiring_splice_out(w, d, c, (j, j + 1), freed)
+    if ep_p not in gap:
+        w.endpoints.remove(ep_p)
+        w.endpoints.insert(w.endpoints.index(gap[1]), ep_p)
+    return _wiring_finish(d, w, freed)
+
+
+def wiring_remove_string(d, label):
+    comp = d.component_by_label(label)
+    if comp.closed:
+        raise TangleError(f"{label!r} is not an open string")
+    idx = d.components.index(comp)
+    w, freed = Wiring.from_diagram(d), []
+    for c, (under, over) in enumerate(d.crossing_strands):
+        if idx in (under, over):
+            keep = 1 if under == idx else 0
+            _wiring_splice_out(w, d, c, (keep,) if under != over else (), freed)
+    for dart in set(comp.out_darts) | {d.alpha[x] for x in comp.out_darts}:
+        w.mate.pop(Wiring.port(d, dart), None)
+    p1, p2 = sorted((comp.start_ep, comp.end_ep))
+    k = d.k
+    if (p1 + 1) % k == p2:
+        start = (p1 - 1) % k
+    elif (p2 + 1) % k == p1:
+        start = (p2 - 1) % k
+    else:
+        start = min(e for e in range(k) if e not in (p1, p2))
+    w.endpoints.remove(p1)
+    w.endpoints.remove(p2)
+    w.endpoints.sort(key=lambda e: (e - start) % k)
+    strings = [(lab, ep) for lab, ep in d.strings if lab != label]
+    return _wiring_freeze(d, w, strings, d.free_loops + tuple(freed))
+
+
+# (name, matches, unvalidated step, public applier, Wiring oracle), in
+# the order `simplify` tries them
+FLAT_MOVES = (
+    ("r1", r1_matches, _r1, apply_r1, wiring_r1),
+    ("r2", r2_matches, _r2, apply_r2, wiring_r2),
+    ("untwist", untwist_matches, _untwist, apply_untwist, wiring_untwist),
+    ("pull", pull_matches, _pull, apply_pull, wiring_pull),
+)
+
+
+def _labelled(d, free=0):
+    """`d`'s alpha with every component traced and named afresh.
+
+    Strings s0, s1, ... start at their lowest endpoint, loops L0, L1, ...
+    at their lowest unvisited dart, and `free` free loops F0, F1, ...
+    follow.
+    """
+    seen = set()
+    strings, loops = [], []
+    for x in [d.ep_dart(j) for j in range(d.k)] + list(range(4 * d.n)):
+        if x in seen:
+            continue
+        darts, closed = d._trace_from(x)
+        if closed:
+            loops.append((f"L{len(loops)}", x))
+        else:
+            strings.append((f"s{len(strings)}", x - 4 * d.n))
+        seen.update(darts)
+        seen.update(d.alpha[y] for y in darts)
+    free_loops = tuple(f"F{i}" for i in range(free))
+    return TangleDiagram(d.n, d.k, d.alpha, tuple(strings), tuple(loops), free_loops).validate()
+
+
+def diagram_with_loops(seed, n, k, joins, free, moves):
+    """A random diagram with k endpoints, loops and free loops.
+
+    A random tangle with n crossings and k + 2 * joins endpoints has
+    `joins` pairs of neighbouring endpoints joined along the boundary; a
+    join that closes a strand makes a loop, or a free loop when the strand
+    has no crossing.  `free` more free loops are added, then `moves`
+    random R1 kinks and R2 pushes while the diagram has at most 10
+    crossings.
+    """
+    rng = random.Random(seed)
+    w = Wiring.from_diagram(random_diagram(rng, n, k + 2 * joins))
+    for _ in range(joins):
+        i = rng.randrange(len(w.endpoints))
+        a, b = w.endpoints[i], w.endpoints[(i + 1) % len(w.endpoints)]
+        if w.join_through(("e", a), ("e", b)) is None:
+            free += 1
+        w.endpoints.remove(a)
+        w.endpoints.remove(b)
+    d = _labelled(w.to_diagram(), free)
+    for _ in range(moves):
+        pushes = r2_pushes(d)
+        if pushes and d.n <= 8 and rng.random() < 0.5:
+            d1, d2 = rng.choice(pushes)
+            d = apply_r2_add(d, d1, d2, rng.random() < 0.5)
+        elif d.num_darts and d.n <= 9:
+            d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
+    return d
+
+
+LOOPY_DIAGRAMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 6),
+    k=st.sampled_from((0, 4, 6)),
+    joins=st.integers(0, 2),
+    free=st.integers(0, 2),
+    moves=st.integers(0, 3),
+)
+
+
+def check_simplify_steps(d):
+    """At every step of both `simplify` modes on `d`, the step's result
+    validates and equals the public applier's and the Wiring oracle's."""
+    for mode in ("rel_boundary", "free"):
+        moves_tried = FLAT_MOVES if mode == "free" and d.k else FLAT_MOVES[:2]
+        cur = d
+        while True:
+            for name, matches, step, apply, oracle in moves_tried:
+                match = next(matches(cur), None)
+                if match is not None:
+                    got = step(cur, match)
+                    assert got.validate() is got, (mode, name, match)
+                    assert got == oracle(cur, match), (mode, name, match)
+                    assert apply(cur, match) == got, (mode, name, match)
+                    cur = got
+                    break
+            else:
+                break
+        assert simplify(d, mode) == cur
+
+
+class TestFlatSplice:
+    """The flat splice equals the Wiring appliers it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**LOOPY_DIAGRAMS)
+    def test_every_simplify_step_matches_wiring(self, seed, n, k, joins, free, moves):
+        if k == 0:
+            joins = max(joins, 1)
+        check_simplify_steps(diagram_with_loops(seed, n, k, joins, free, moves))
+
+    @pytest.mark.parametrize("loops", ["S A: 3,4\nS B: 1,2\n", "S B: 1,2\nS A: 3,4\n"])
+    def test_circles_freed_in_splice_order(self, loops):
+        # A lies over B at both crossings of their bigon; R2 frees B, then
+        # A, whichever loop the diagram lists first
+        d = parse_pd("tangle k=0 n=2\nX 1 3 2 4\nX 2 3 1 4\n" + loops)
+        assert simplify(d).free_loops == ("B", "A")
+        check_simplify_steps(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**LOOPY_DIAGRAMS)
+    def test_remove_string_matches_wiring(self, seed, n, k, joins, free, moves):
+        d = diagram_with_loops(seed, n, k or 4, joins, free, moves)
+        for label, _ in d.strings:
+            assert remove_string(d, label) == wiring_remove_string(d, label)
+
+    def test_sample_has_every_move_and_freed_circles(self):
+        # the draws reach every move, loops and circles freed by a splice
+        seen = Counter()
+        rng = random.Random(23)
+        for _ in range(300):
+            d = diagram_with_loops(
+                rng.randrange(2**32), rng.randint(0, 6), rng.choice((0, 4, 6)),
+                rng.randint(1, 2), rng.randint(0, 2), rng.randint(0, 3),
+            )
+            seen["loops"] += bool(d.loops)
+            for name, matches, step, _, _ in FLAT_MOVES:
+                match = next(matches(d), None)
+                if match is not None:
+                    seen[name] += 1
+                    seen["freed"] += len(step(d, match).free_loops) > len(d.free_loops)
+        assert min(seen[key] for key in ("loops", "r1", "r2", "untwist", "pull", "freed")) > 0
+
+
+class TestSimplifyValidatesOnce:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = TangleDiagram.validate
+
+        def counted(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(TangleDiagram, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["rel_boundary", "free"])
+    def test_once_when_moved_never_when_not(self, mode, validations):
+        with open("tests/fixtures/loops_tangle.pd", encoding="utf-8") as fh:
+            d = parse_pd(fh.read())
+        validations.clear()
+        small = simplify(d, mode)
+        assert small.n < d.n
+        assert len(validations) == 1 and validations[0] is small
+        validations.clear()
+        assert simplify(small, mode) is small
+        assert validations == []
