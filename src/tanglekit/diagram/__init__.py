@@ -12,7 +12,6 @@ _SUBMODULE = {
     "Component": "core",
     "LinkId": "identify",
     "TangleDiagram": "core",
-    "Wiring": "core",
     "add_boundary_twists": "surgery",
     "apply_r1_add": "rewrite",
     "apply_r2_add": "rewrite",

@@ -1,11 +1,12 @@
 """Constructors for tangle diagrams: trivial tangles and twist regions.
 
 All twist regions are produced by one primitive, `twist_pair`, which
-inserts crossings between the strands ending at two counterclockwise-
-adjacent boundary positions.  Which crossing handedness realizes a
-*positive* twist count differs by position and is fixed here once by the
-H_POSITIVE / V_POSITIVE constants, calibrated so that the diagram-level
-fraction semantics agree with the tangle-fraction arithmetic:
+inserts fresh crossings of a flat dart list (`core.pairing`) between the
+strands ending at two counterclockwise-adjacent boundary positions.
+Which crossing handedness realizes a *positive* twist count differs by
+position and is fixed here once by the H_POSITIVE / V_POSITIVE
+constants, calibrated so that the diagram-level fraction semantics agree
+with the tangle-fraction arithmetic:
 
 - horizontal twists at the right boundary pair add +n to the fraction,
 - vertical twists at the bottom pair send p/q to p/(q + v*p).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from ..errors import TangleError
 from ..rational import TangleFraction, add_integral, add_vertical, reduce
-from .core import TangleDiagram, Wiring
+from .core import TangleDiagram, compact, connect, pairing
 
 # Crossing type used for one positive twist, per twist direction.  True
 # means the strand arriving at the first (counterclockwise-earlier) port
@@ -27,33 +28,31 @@ H_POSITIVE_LEFT_UNDER = True
 V_POSITIVE_LEFT_UNDER = False
 
 
-def _twist_once(w: Wiring, pa: tuple, pb: tuple, left_under: bool) -> None:
-    """Insert one crossing between the strands ending at ports pa, pb.
+def twist_pair(
+    alpha: list[int], c: int, pa: int, pb: int, count: int, positive_left_under: bool
+) -> None:
+    """Insert |count| same-handed crossings between the strands at darts pa, pb.
 
-    pa must come counterclockwise-immediately before pb on the boundary.
-    Slot layout (counterclockwise): with left_under the strand from pa
-    runs under the one from pb.
+    `alpha` is a `pairing` with the fresh crossings c, c + 1, ... for the
+    twists; pa and pb are endpoint darts, pa's endpoint counterclockwise-
+    immediately before pb's.  Each twist takes the next fresh crossing,
+    whose slots, counterclockwise from the one taking pa's old mate, are
+    top-left, bottom-left, bottom-right, top-right: with left_under the
+    strand from pa runs under the one from pb.  A direct arc between the
+    pair twists into a kink.  Planar: each crossing lies in a disk at the
+    boundary between the two endpoints (see `core.connect`).
     """
-    ma, mb = w.mate[pa], w.mate[pb]
-    c = w.new_crossing()
-    if left_under:
-        tl, bl, br, tr = 0, 1, 2, 3
-    else:
-        tl, bl, br, tr = 1, 2, 3, 0
-    if ma == pb:  # direct arc between the pair twists into a kink
-        w.connect(("x", c, tl), ("x", c, tr))
-    else:
-        w.connect(ma, ("x", c, tl))
-        w.connect(mb, ("x", c, tr))
-    w.connect(("x", c, br), pb)
-    w.connect(("x", c, bl), pa)
-
-
-def twist_pair(w: Wiring, pa: tuple, pb: tuple, count: int, positive_left_under: bool) -> None:
-    """Insert |count| same-handed crossings between the pa/pb strands."""
     left_under = positive_left_under if count > 0 else not positive_left_under
-    for _ in range(abs(count)):
-        _twist_once(w, pa, pb, left_under)
+    tl, bl, br, tr = (0, 1, 2, 3) if left_under else (1, 2, 3, 0)
+    for x in range(4 * c, 4 * (c + abs(count)), 4):
+        ma, mb = alpha[pa], alpha[pb]
+        if ma == pb:
+            connect(alpha, x + tl, x + tr)
+        else:
+            connect(alpha, ma, x + tl)
+            connect(alpha, mb, x + tr)
+        connect(alpha, x + br, pb)
+        connect(alpha, x + bl, pa)
 
 
 def trivial_tangle(
@@ -61,13 +60,11 @@ def trivial_tangle(
     labels: tuple[str, ...] = ("s12", "s23", "s31"),
 ) -> TangleDiagram:
     """Crossing-free tangle with the given noncrossing endpoint matching."""
-    k = 2 * len(matching)
-    w = Wiring()
-    w.endpoints = list(range(k))
+    alpha = [0] * (2 * len(matching))
     for a, b in matching:
-        w.connect(("e", a), ("e", b))
+        connect(alpha, a, b)
     strings = tuple((lab, min(pair)) for lab, pair in zip(labels, matching))
-    return w.to_diagram(strings=strings).validate()
+    return TangleDiagram(0, len(alpha), tuple(alpha), strings).validate()
 
 
 def zero_tangle() -> TangleDiagram:
@@ -80,16 +77,25 @@ def infinity_tangle() -> TangleDiagram:
     return trivial_tangle(((0, 3), (1, 2)), ("u", "w"))
 
 
-def _restring_2tangle(w: Wiring) -> TangleDiagram:
-    """Freeze a 2-string wiring; each string is named u or w at its earlier end."""
+def _twist_2tangle(
+    d: TangleDiagram, pa: int, count: int, positive_left_under: bool
+) -> TangleDiagram:
+    """`d` with `count` twists on endpoints pa and pa + 1; unvalidated.
+
+    Each string is named u or w at its earlier end; `d`'s loops and free
+    loops are kept, re-anchored by `compact`.
+    """
+    alpha = pairing(d, abs(count))
+    e0 = len(alpha) - 4  # dart of endpoint 0
+    twist_pair(alpha, d.n, e0 + pa, e0 + pa + 1, count, positive_left_under)
     strings = []
-    for pos, eid in enumerate(w.endpoints):
-        port = w.mate[("e", eid)]
-        while port[0] == "x":
-            port = w.mate[("x", port[1], (port[2] + 2) % 4)]
-        if w.endpoints.index(port[1]) > pos:
-            strings.append((("u", "w")[len(strings)], eid))
-    return w.to_diagram(tuple(strings))
+    for j in range(4):
+        x = alpha[e0 + j]
+        while x < e0:
+            x = alpha[x ^ 2]  # through the crossing
+        if x - e0 > j:
+            strings.append(("uw"[len(strings)], j))
+    return compact(d, alpha, range(4), strings, d.free_loops)
 
 
 def horizontal_twists(d: TangleDiagram, n: int) -> TangleDiagram:
@@ -98,9 +104,7 @@ def horizontal_twists(d: TangleDiagram, n: int) -> TangleDiagram:
         raise TangleError("horizontal twists need a 2-string tangle")
     if n == 0:
         return d
-    w = Wiring.from_diagram(d)
-    twist_pair(w, ("e", 1), ("e", 2), n, H_POSITIVE_LEFT_UNDER)
-    return _restring_2tangle(w)
+    return _twist_2tangle(d, 1, n, H_POSITIVE_LEFT_UNDER)
 
 
 def vertical_twists(d: TangleDiagram, v: int) -> TangleDiagram:
@@ -109,9 +113,7 @@ def vertical_twists(d: TangleDiagram, v: int) -> TangleDiagram:
         raise TangleError("vertical twists need a 2-string tangle")
     if v == 0:
         return d
-    w = Wiring.from_diagram(d)
-    twist_pair(w, ("e", 2), ("e", 3), v, V_POSITIVE_LEFT_UNDER)
-    return _restring_2tangle(w)
+    return _twist_2tangle(d, 2, v, V_POSITIVE_LEFT_UNDER)
 
 
 def continued_fraction(fr: TangleFraction) -> list[int]:

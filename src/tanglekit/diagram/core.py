@@ -11,6 +11,15 @@ becomes a 3-valent vertex (strand dart plus two virtual gap darts along
 the circle), and gap j joins endpoint j to endpoint j+1.  Genus 0 is then
 the Euler identity V - E + F = 2 per connected component, counting the
 outer disk.
+
+Every edit runs on a flat list of darts.  `pairing` copies a diagram's
+`alpha`, with fresh crossings appended for an edit that adds some;
+`connect` and `join` re-pair darts, and their docstrings give the
+planarity argument; `compact` renumbers what survives into a new diagram
+and re-anchors its loops.  `splice`, which takes crossings out, is a loop
+of joins and one `compact`.  The builders, surgeries and moves name each
+the disk their edit stays in, and validate their result, except the
+chained reduction steps and the rational builder's twist layers.
 """
 
 from __future__ import annotations
@@ -354,174 +363,133 @@ def _reanchor(d: TangleDiagram, alive, strings, free_loops, new_loops=()):
     return loops, free
 
 
-def splice(d: TangleDiagram, cuts, endpoints, strings) -> TangleDiagram:
-    """Take crossings out of `d`, splicing strands through them; unvalidated.
+def pairing(d: TangleDiagram, fresh: int = 0) -> list[int]:
+    """`d.alpha` as a list to edit, with `fresh` unpaired crossings appended.
 
-    `cuts` lists (crossing, slots): in order, the strand through each
-    listed slot is joined to the far side of the crossing, reading the
-    pairing as the earlier joins left it, and a join whose two ports were
-    paired with each other frees a crossing-free circle, named by its
-    label in `d`.  The crossing's unlisted ports are dropped with it.
-    `endpoints` gives `d`'s endpoint ids that stay, in their new boundary
-    order, and `strings` the (label, endpoint id) of each string, in the
-    order to list them.  Surviving crossings keep their relative order,
-    and each loop is anchored as `_reanchor` says.  Freed circles follow
-    `d`'s free loops.  An arc with one end at a dropped port or endpoint
-    must have both ends there, as the arcs of the string `remove_string`
-    deletes do.
+    The fresh crossings follow `d`'s, so `d`'s endpoint darts shift up by
+    4 * `fresh`.  A fresh dart holds the list's length until `connect`
+    pairs it, which `compact` refuses.
+    """
+    if not fresh:
+        return list(d.alpha)
+    n4, nd = 4 * d.n, d.num_darts + 4 * fresh
+    alpha = [a + 4 * fresh if a >= n4 else a for a in d.alpha]
+    alpha[n4:n4] = [nd] * (4 * fresh)
+    return alpha
+
+
+def connect(alpha: list[int], a: int, b: int) -> None:
+    """Pair darts a and b.
+
+    Planarity for the adders: a crossing added inside a disk that meets
+    the map only in arcs it cuts keeps the map planar when the arcs it
+    re-pairs those ends with can be drawn in that disk without crossing.
+    The twists of `build.twist_pair` lie in a disk at the boundary between
+    their two endpoints, the R1 kink in a disk on its edge; the R2 push
+    and the R3 slide name theirs.
+    """
+    alpha[a] = b
+    alpha[b] = a
+
+
+def join(alpha: list[int], p: int, q: int) -> tuple[int, int] | None:
+    """Join the mates of darts p and q, whose own entries go stale.
+
+    Returns the joined (mate of p, mate of q), or None when p and q were
+    paired with each other: the join freed a circle.
 
     Planarity: a small disk around a crossing meets the rest of the map
     only in the crossing's four edges.  Taking the 4-valent vertex out and
     joining edges in pairs by arcs inside that disk keeps the map planar
     when the arcs can be drawn disjoint, that is when no two joined pairs
     interleave around the disk; deleting edges keeps it planar as well.
-    One transit spliced with the other strand deleted (`remove_string`)
-    is a single arc.  Both transits of one crossing interleave around its
-    own disk, so a move splicing both draws its arcs in a larger disk:
-    the crossing with its kink (R1), the two crossings with their bigon
-    (R2), or the crossing with its face toward the boundary (untwist,
-    pull), around which, once the move has re-ordered its endpoints, the
-    joined ends do not interleave.  Each applier's docstring names its
-    disk.  So a chain of splices needs one `validate`, at its end.
+    One transit joined with the other strand deleted (`remove_string`) is
+    a single arc.  Both transits of one crossing interleave around its
+    own disk, so a move joining both draws its arcs in a larger disk,
+    which its docstring names (see `splice`).  Joining two endpoints by
+    an arc along the boundary circle (`cap`, the closures) draws it in
+    the outer face.
     """
-    n4 = 4 * d.n
-    alpha = list(d.alpha)
-    gone = bytearray(d.n)
-    freed: list[str] = []
-    for c, slots in cuts:
-        for s in slots:
-            p, q = 4 * c + s % 4, 4 * c + (s + 2) % 4
-            a, b = alpha[p], alpha[q]
-            if a == q:
-                freed.append(d.label_of(p))
-            else:
-                alpha[a] = b
-                alpha[b] = a
-        gone[c] = 1
+    a, b = alpha[p], alpha[q]
+    if a == q:
+        return None
+    connect(alpha, a, b)
+    return a, b
+
+
+def compact(d: TangleDiagram, alpha, endpoints, strings, free_loops, new_loops=(), gone=None):
+    """The diagram of `alpha`, an edited `pairing(d, fresh)`; unvalidated.
+
+    The crossings `gone` does not mark (none by default) are renumbered in
+    order, `d`'s and then the fresh ones.  `endpoints` gives the endpoint
+    ids that stay, in their new boundary order, and `strings` the (label,
+    endpoint id) of each string, in the order to list them.  Each loop of
+    `d` is anchored as `_reanchor` says, and `new_loops` (label, dart of
+    `alpha`) follow.  The caller orders `free_loops`, `d`'s own among
+    them.  A surviving dart must be paired with a surviving dart, and one
+    left unpaired raises TangleError.
+    """
+    n4 = len(alpha) - d.k
+    if gone is None:
+        gone = bytearray(n4 >> 2)
     new = [-1] * len(alpha)  # old dart -> new dart, -1 when dropped
     m = 0
-    for c in range(d.n):
+    for c in range(n4 >> 2):
         if not gone[c]:
             new[4 * c:4 * c + 4] = range(4 * m, 4 * m + 4)
             m += 1
     for i, e in enumerate(endpoints):
         new[n4 + e] = 4 * m + i
     out = [0] * (4 * m + len(endpoints))
-    for x, y in enumerate(new):
-        if y >= 0:
-            out[y] = new[alpha[x]]
-    loops, free = _reanchor(
-        d, lambda x: not gone[x >> 2], strings, d.free_loops + tuple(freed)
-    )
+    try:
+        for x, y in enumerate(new):
+            if y >= 0:
+                out[y] = new[alpha[x]]
+    except IndexError:
+        raise TangleError(f"dart {x} left unpaired") from None
+    loops, free = _reanchor(d, lambda x: not gone[x >> 2], strings, free_loops, new_loops)
     return TangleDiagram(
         m,
         len(endpoints),
         tuple(out),
         tuple((lab, new[n4 + e] - 4 * m) for lab, e in strings),
-        tuple((lab, new[x]) for lab, x in loops),
+        tuple((lab, new[x]) for lab, x in (*loops, *new_loops)),
         tuple(free),
     )
 
 
-class Wiring:
-    """Mutable scratch structure for building and rewriting diagrams.
+def splice(d: TangleDiagram, cuts, endpoints, strings) -> TangleDiagram:
+    """Take crossings out of `d`, splicing strands through them; unvalidated.
 
-    Ports are ("x", cid, slot) or ("e", eid); `mate` is the pairing.
-    `endpoints` keeps the circular boundary order; crossing ids are
-    renumbered on freeze in `order` order.  Only `port` and `to_diagram`
-    translate between ids and dart numbers.
+    `cuts` lists (crossing, slots): in order, the strand through each
+    listed slot is joined to the far side of the crossing by `join`,
+    reading the pairing as the earlier joins left it, and a join that
+    frees a crossing-free circle names it by its label in `d`.  The
+    crossing's unlisted ports are dropped with it.  `endpoints` and
+    `strings` are as `compact` takes them, and freed circles follow `d`'s
+    free loops.  An arc with one end at a dropped port or endpoint must
+    have both ends there, as the arcs of the string `remove_string`
+    deletes do.
 
-    The builders, the closures, `cap`, `add_boundary_twists`, the R1 kink
-    and R2 push and the R3 slide edit `from_diagram(d)` of their input `d`
-    (or a fresh wiring) and return `freeze`, which re-anchors `d`'s loops
-    as `splice` does and validates the result.  The reduction moves and
-    `remove_string` only take crossings out, and use `splice` on flat
-    dart lists instead.  The caller orders the free loops: a closure
-    lists the circles it freed first.
+    A move splicing both transits of a crossing draws its arcs in a disk
+    larger than the crossing's (see `join`): the crossing with its kink
+    (R1), the two crossings with their bigon (R2), or the crossing with
+    its face toward the boundary (untwist, pull), around which, once the
+    move has re-ordered its endpoints, the joined ends do not interleave.
+    Each applier's docstring names its disk.  So a chain of splices needs
+    one `validate`, at its end.
     """
-
-    def __init__(self):
-        self.mate: dict[tuple, tuple] = {}
-        self.order: list[int] = []
-        self.endpoints: list[int] = []
-        self._next = 0
-
-    @classmethod
-    def from_diagram(cls, d: TangleDiagram) -> "Wiring":
-        w = cls()
-        w.order = list(range(d.n))
-        w.endpoints = list(range(d.k))
-        w._next = d.n + d.k
-        for dart in range(d.num_darts):
-            w.mate[cls.port(d, dart)] = cls.port(d, d.alpha[dart])
-        return w
-
-    @staticmethod
-    def port(d: TangleDiagram, dart: int) -> tuple:
-        """The port of `d`'s dart in the wiring `from_diagram(d)`."""
-        if d.is_ep_dart(dart):
-            return ("e", dart - 4 * d.n)
-        return ("x", dart // 4, dart % 4)
-
-    def new_crossing(self) -> int:
-        cid = self._next
-        self._next += 1
-        self.order.append(cid)
-        return cid
-
-    def connect(self, a: tuple, b: tuple) -> None:
-        self.mate[a] = b
-        self.mate[b] = a
-
-    def join_through(self, p: tuple, q: tuple) -> tuple | None:
-        """Join the mates of ports p and q and drop both ports.
-
-        Returns the joined (mate of p, mate of q) pair, or None when p and
-        q were mated to each other: the splice freed a circle.
-        """
-        a = self.mate.pop(p)
-        b = self.mate.pop(q)
-        if a == q:
-            return None
-        self.connect(a, b)
-        return (a, b)
-
-    def freeze(self, d: TangleDiagram, strings, free_loops, new_loops=()) -> TangleDiagram:
-        """The validated diagram of this wiring, made from `d`.
-
-        `d`'s loops are anchored by `_reanchor` at ports still wired, and
-        `new_loops` (label, port) follow them.  The caller orders
-        `free_loops`, `d`'s own among them.
-        """
-        loops, free = _reanchor(
-            d, lambda x: self.port(d, x) in self.mate, strings, free_loops, new_loops
-        )
-        loops = [(lab, self.port(d, x)) for lab, x in loops] + list(new_loops)
-        return self.to_diagram(strings, loops, free).validate()
-
-    def to_diagram(
-        self,
-        strings: tuple[tuple[str, int], ...] = (),
-        loops: tuple[tuple[str, tuple], ...] = (),
-        free_loops: tuple[str, ...] = (),
-    ) -> TangleDiagram:
-        """Freeze unvalidated; `strings` anchor at endpoint ids, `loops` at ports.
-
-        The only map from wiring ids to dart numbers: crossings are numbered
-        in `order` order, endpoints by position in `endpoints`.
-        """
-        xindex = {cid: i for i, cid in enumerate(self.order)}
-        eindex = {eid: i for i, eid in enumerate(self.endpoints)}
-        n, k = len(self.order), len(self.endpoints)
-
-        def dart(port: tuple) -> int:
-            if port[0] == "x":
-                return 4 * xindex[port[1]] + port[2]
-            return 4 * n + eindex[port[1]]
-
-        alpha = [0] * (4 * n + k)
-        for p, q in self.mate.items():
-            alpha[dart(p)] = dart(q)
-        strings = tuple((lab, eindex[eid]) for lab, eid in strings)
-        loops = tuple((lab, dart(p)) for lab, p in loops)
-        return TangleDiagram(n, k, tuple(alpha), strings, loops, tuple(free_loops))
+    alpha = list(d.alpha)
+    gone = bytearray(d.n)
+    freed: list[str] = []
+    for c, slots in cuts:
+        for s in slots:  # `join` through slot s, inlined: simplify's hot path
+            p = 4 * c + s % 4
+            a, b = alpha[p], alpha[p ^ 2]
+            if a == p ^ 2:
+                freed.append(d.label_of(p))
+            else:
+                alpha[a] = b
+                alpha[b] = a
+        gone[c] = 1
+    return compact(d, alpha, endpoints, strings, d.free_loops + tuple(freed), gone=gone)

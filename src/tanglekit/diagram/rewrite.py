@@ -23,31 +23,26 @@ of its input's flat dart list: `simplify` chains the unvalidated splices
 and validates once, at the end, by the planarity argument `splice` and
 each applier's docstring give, and each public applier returns its
 splice validated.  The R1 kink, the R2 push and the R3 slide add
-crossings, so each edits one `Wiring` of its input and returns the
-validated diagram of `Wiring.freeze`; the push and the slide place the
-ports of their new crossings by a planarity argument given in their
-docstrings, so each builds its one result once.
+crossings: each edits `core.pairing` of its input, with fresh crossings,
+and returns the validated `core.compact` of the result; the push and the
+slide place the ports of their new crossings by a planarity argument
+given in their docstrings, so each builds its one result once.
 """
 
 from __future__ import annotations
 
 from ..errors import TangleError
-from .core import TangleDiagram, Wiring, splice
+from .core import TangleDiagram, compact, connect, join, pairing, splice
 
 
 # -- shared bookkeeping --------------------------------------------------------
 
 
-def _transit(c: int, s: int) -> tuple[tuple, tuple]:
-    """The two ports of the strand transit through slot s of crossing c."""
-    return ("x", c, s % 4), ("x", c, (s + 2) % 4)
-
-
-def _finish(d: TangleDiagram, w: Wiring) -> TangleDiagram:
-    """`w.freeze` with `d`'s strings listed in boundary order."""
-    label_at = {eid: lab for lab, eid in dict(d.strings).items()}
-    strings = [(label_at[eid], eid) for eid in w.endpoints if eid in label_at]
-    return w.freeze(d, strings, d.free_loops)
+def _finish(d: TangleDiagram, alpha: list[int], gone=None) -> TangleDiagram:
+    """The validated `compact` of an adder's `alpha`, with `d`'s strings
+    listed in boundary order."""
+    strings = sorted(d.strings, key=lambda s: s[1])
+    return compact(d, alpha, range(d.k), strings, d.free_loops, gone=gone).validate()
 
 
 def _splice(d: TangleDiagram, cuts, endpoints=None, anchors=None) -> TangleDiagram:
@@ -264,15 +259,18 @@ def simplify(d: TangleDiagram, mode: str = "rel_boundary") -> TangleDiagram:
 
 
 def apply_r1_add(d: TangleDiagram, out_dart: int, kind: int) -> TangleDiagram:
-    """Insert a kink into the edge leaving along out_dart; kind in 0..3."""
-    w = Wiring.from_diagram(d)
-    u = Wiring.port(d, out_dart)
-    v = Wiring.port(d, d.alpha[out_dart])
-    c = w.new_crossing()
-    w.connect(u, ("x", c, (kind + 2) % 4))
-    w.connect(("x", c, kind), ("x", c, (kind + 1) % 4))
-    w.connect(("x", c, (kind + 3) % 4), v)
-    return _finish(d, w)
+    """Insert a kink into the edge leaving along out_dart; kind in 0..3.
+
+    Planar: the kink lies in a disk on the edge (see `core.connect`).
+    """
+    alpha = pairing(d, 1)
+    x = 4 * d.n  # the kink's crossing
+    u = out_dart + 4 * (out_dart >= x)
+    v = alpha[u]
+    connect(alpha, u, x + (kind + 2) % 4)
+    connect(alpha, x + kind, x + (kind + 1) % 4)
+    connect(alpha, x + (kind + 3) % 4, v)
+    return _finish(d, alpha)
 
 
 def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) -> TangleDiagram:
@@ -291,18 +289,17 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
     if d1 == d2 or d.alpha[d1] == d2:
         raise TangleError("R2 push needs two distinct edges")
     S, E, N, W = (0, 1, 2, 3) if over_first else (1, 2, 3, 0)
-    w = Wiring.from_diagram(d)
-    cp = w.new_crossing()
-    cq = w.new_crossing()
-    u1, v1 = Wiring.port(d, d1), Wiring.port(d, d.alpha[d1])
-    u2, v2 = Wiring.port(d, d.alpha[d2]), Wiring.port(d, d2)
-    w.connect(u1, ("x", cp, W))
-    w.connect(("x", cp, E), ("x", cq, E))
-    w.connect(("x", cq, W), v1)
-    w.connect(u2, ("x", cp, S))
-    w.connect(("x", cp, N), ("x", cq, S))
-    w.connect(("x", cq, N), v2)
-    return _finish(d, w)
+    alpha = pairing(d, 2)
+    p = 4 * d.n  # first dart of the new crossings p and q = p + 4
+    u1, v2 = (x + 8 * (x >= p) for x in (d1, d2))
+    v1, u2 = alpha[u1], alpha[v2]
+    connect(alpha, u1, p + W)
+    connect(alpha, p + E, p + 4 + E)
+    connect(alpha, p + 4 + W, v1)
+    connect(alpha, u2, p + S)
+    connect(alpha, p + N, p + 4 + S)
+    connect(alpha, p + 4 + N, v2)
+    return _finish(d, alpha)
 
 
 def r3_triangles(d: TangleDiagram):
@@ -340,7 +337,7 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
     the slide was over, else the over slots (1, 3): the R-side, slide-in,
     far and slide-out slots are (0, 1, 2, 3) or (1, 2, 3, 0).
 
-    All surgery is sequential on the wiring, re-reading mates at each
+    All surgery is sequential on one `pairing`, re-reading mates at each
     step, so outer legs re-entering the triangle are handled naturally.
     A triangle with no planar slide raises `TangleError`.
     """
@@ -358,32 +355,29 @@ def apply_r3(d: TangleDiagram, match: tuple) -> TangleDiagram:
     sR1 = d.alpha[t_next] % 4  # arrival at R from Q
     sR2 = t_prev % 4           # departure from R toward P
     r_side, m_in, far, m_out = (0, 1, 2, 3) if sP % 2 else (1, 2, 3, 0)
-    w = Wiring.from_diagram(d)
+    alpha = pairing(d, 2)
     # strand A straight through P, strand B straight through Q
-    for c, s in ((P, sP + 1), (Q, sQ + 1)):
-        if w.join_through(*_transit(c, s)) is None:
+    for x in (ti ^ 1, aP ^ 1):
+        if join(alpha, x, x ^ 2) is None:
             raise TangleError("degenerate triangle: side strand loops")
-    # new crossings on the far sides of R, on A's and on B's extension
-    p2 = w.new_crossing()
-    q2 = w.new_crossing()
-    for c2, sR in ((p2, sR2), (q2, sR1)):
-        r_leg = ("x", R, (sR + 2) % 4)
-        beyond = w.mate[r_leg]
-        w.connect(r_leg, ("x", c2, r_side))
-        w.connect(("x", c2, far), beyond)
+    # new crossings p2 and q2 on the far sides of R, on A's and on B's extension
+    p2, q2 = 4 * d.n, 4 * d.n + 4  # their first darts
+    for x2, sR in ((p2, sR2), (q2, sR1)):
+        r_leg = 4 * R + (sR + 2) % 4
+        beyond = alpha[r_leg]
+        connect(alpha, r_leg, x2 + r_side)
+        connect(alpha, x2 + far, beyond)
     # lift the sliding strand out of P and Q, keeping its loose edge
-    if w.join_through(*_transit(P, sP)) is None:
+    if join(alpha, ti, ti ^ 2) is None:
         raise TangleError("degenerate triangle: slide strand loops at P")
-    joined = w.join_through(*_transit(Q, sQ))
+    joined = join(alpha, aP, aP ^ 2)
     if joined is None:
         raise TangleError("degenerate triangle: slide strand loops at Q")
     mp, mq = joined  # P-side and Q-side of the bypass edge
-    w.order.remove(P)
-    w.order.remove(Q)
     # thread it through the new crossings, strand B's extension first
-    w.mate.pop(mp)
-    w.mate.pop(mq)
-    w.connect(mp, ("x", q2, m_in))
-    w.connect(("x", q2, m_out), ("x", p2, m_in))
-    w.connect(("x", p2, m_out), mq)
-    return _finish(d, w)
+    connect(alpha, mp, q2 + m_in)
+    connect(alpha, q2 + m_out, p2 + m_in)
+    connect(alpha, p2 + m_out, mq)
+    gone = bytearray(d.n + 2)
+    gone[P] = gone[Q] = 1
+    return _finish(d, alpha, gone)

@@ -27,8 +27,9 @@ distinct S labels, as `parse_pd` requires.
 
 `remove_string` only takes crossings out, so it is one `core.splice` of
 its input's flat dart list, validated.  Every other surgery, closures
-included, adds arcs or crossings: it edits one `Wiring` of its input and
-returns the validated diagram of `Wiring.freeze`.
+included, adds arcs or crossings: it edits `core.pairing` of its input
+with `core.join` and `build.twist_pair`, and returns the validated
+`core.compact` of the result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from ..errors import TangleError
 from ..rational import TangleFraction
 from .build import twist_pair, V_POSITIVE_LEFT_UNDER
-from .core import TangleDiagram, Wiring, splice
+from .core import TangleDiagram, compact, join, pairing, splice
 
 
 def _cap_pair(i: int) -> tuple[int, int]:
@@ -75,10 +76,11 @@ def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
     joined already, so that arc's near side is a crossing; a component
     with no crossing is instead closed by that arc as a free circle.
     """
-    w = Wiring.from_diagram(d)
+    alpha = pairing(d, abs(v))
+    e0 = len(alpha) - d.k  # dart of endpoint 0
     owner = [d.component_of_dart[d.ep_dart(e)] for e in range(d.k)]  # strand at each endpoint
     if v:
-        twist_pair(w, ("e", 0), ("e", 1), v, V_POSITIVE_LEFT_UNDER)
+        twist_pair(alpha, d.n, e0, e0 + 1, v, V_POSITIVE_LEFT_UNDER)
         if v % 2:
             owner[0], owner[1] = owner[1], owner[0]
     root = list(range(len(d.components)))
@@ -89,15 +91,14 @@ def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
         return i
 
     freed: list[int] = []
-    anchors: list[tuple[int, tuple]] = []
+    anchors: list[tuple[int, int]] = []
     for ea, eb in arcs:
         root[find(owner[ea])] = find(owner[eb])
-        joined = w.join_through(("e", ea), ("e", eb))
+        joined = join(alpha, e0 + ea, e0 + eb)
         if joined is None:  # the arc closed a crossing-free circle
             freed.append(owner[ea])
-        elif joined[0][0] == "x":
+        elif joined[0] < e0:
             anchors.append((owner[ea], joined[0]))
-    w.endpoints.clear()
 
     def name(i: int, crossed: bool) -> str:
         labels = {
@@ -108,15 +109,15 @@ def _close(d: TangleDiagram, arcs, v: int = 0) -> TangleDiagram:
         return "+".join(sorted(labels))
 
     taken = {comp.label for comp in d.components if comp.closed}
-    new_loops: list[tuple[str, tuple]] = []
+    new_loops: list[tuple[str, int]] = []
     named: set[int] = set()
-    for i, port in anchors:
+    for i, dart in anchors:
         if find(i) not in named:
             named.add(find(i))
             label = name(i, True) or f"o{len(d.loops) + len(new_loops)}"
-            new_loops.append((_unused(label, taken), port))
+            new_loops.append((_unused(label, taken), dart))
     free = tuple(_unused(name(i, False), taken) for i in freed)
-    return w.freeze(d, (), free + d.free_loops, new_loops)
+    return compact(d, alpha, (), (), free + d.free_loops, new_loops).validate()
 
 
 def cap(d: TangleDiagram, i: int) -> TangleDiagram:
@@ -127,24 +128,22 @@ def cap(d: TangleDiagram, i: int) -> TangleDiagram:
     labels = _label_by_endpoint(d)
     la, lb = labels[a], labels[b]
     name = _unused(f"shat{i}", {comp.label for comp in d.components} - {la, lb})
-    w = Wiring.from_diagram(d)
+    alpha = pairing(d)
     free_extra: list[str] = []
-    new_loops: list[tuple[str, tuple]] = []
-    joined = w.join_through(("e", a), ("e", b))
+    new_loops: list[tuple[str, int]] = []
+    joined = join(alpha, d.ep_dart(a), d.ep_dart(b))
     if joined is None:  # the capped pair bounded one crossing-free strand
         free_extra.append(la)
-    elif la == lb:
-        u, v = joined
-        new_loops.append((name, u if u[0] == "x" else v))
-    w.endpoints.remove(a)
-    w.endpoints.remove(b)
+    elif la == lb:  # the strand from a to b has a crossing next to a
+        new_loops.append((name, joined[0]))
     start = (b + 1) % 6
-    w.endpoints.sort(key=lambda e: (e - start) % 6)
+    endpoints = sorted((e for e in range(6) if e not in (a, b)), key=lambda e: (e - start) % 6)
     strings = [(lab, ep) for lab, ep in d.strings if lab not in (la, lb)]
     if la != lb:
         ends = [e for e, lab in labels.items() if lab in (la, lb) and e not in (a, b)]
         strings.append((name, min(ends)))
-    return w.freeze(d, strings, d.free_loops + tuple(free_extra), new_loops)
+    free = d.free_loops + tuple(free_extra)
+    return compact(d, alpha, endpoints, strings, free, new_loops).validate()
 
 
 def remove_string(d: TangleDiagram, label: str) -> TangleDiagram:
@@ -225,8 +224,9 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
     if n == 0:
         return d
     a, b = _cap_pair(i)
-    w = Wiring.from_diagram(d)
-    twist_pair(w, ("e", a), ("e", b), n, V_POSITIVE_LEFT_UNDER)
+    alpha = pairing(d, abs(n))
+    e0 = len(alpha) - d.k
+    twist_pair(alpha, d.n, e0 + a, e0 + b, n, V_POSITIVE_LEFT_UNDER)
     # anchor each string at its lower end away from the twisted pair
     strings = []
     for comp in d.components:
@@ -234,4 +234,4 @@ def add_boundary_twists(d: TangleDiagram, i: int, n: int) -> TangleDiagram:
             ends = (comp.start_ep, comp.end_ep)
             anchor = [e for e in ends if e not in (a, b)]
             strings.append((comp.label, min(anchor) if anchor else min(ends)))
-    return w.freeze(d, strings, d.free_loops)
+    return compact(d, alpha, range(6), strings, d.free_loops).validate()

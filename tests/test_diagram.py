@@ -41,7 +41,7 @@ from tanglekit.diagram import (
 )
 from tanglekit.diagram import identify, invariants
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
-from tanglekit.diagram.core import Wiring
+from tanglekit.diagram.core import compact, connect, pairing
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly
 from tanglekit.errors import BudgetExceeded, TangleError
@@ -1248,10 +1248,41 @@ class TestSurgery:
         text = emit_pd(out)
         assert emit_pd(parse_pd(text)) == text
 
+    @pytest.mark.parametrize(
+        "pd, loops, free",
+        [
+            ("tests/fixtures/loops_tangle.pd", ["L", "N", "M"], ["F"]),
+            ("tangle k=2 n=0\nB 1 1 2 2\nS u: 1\nS w: 2\nS F: 3\n", [], ["F"]),
+        ],
+        ids=["capped-loops-tangle", "free-loop"],
+    )
+    @pytest.mark.parametrize("twists", [horizontal_twists, vertical_twists])
+    @pytest.mark.parametrize("m", [1, -2, 3])
+    def test_two_string_twists_keep_loops(self, pd, loops, free, twists, m):
+        if pd.endswith(".pd"):
+            with open(pd, encoding="utf-8") as fh:
+                d = cap(parse_pd(fh.read()), 1)
+        else:
+            d = parse_pd(pd)
+        out = twists(d, m)
+        assert out.validate() is out and out.n == d.n + abs(m)
+        assert [lab for lab, _ in out.loops] == loops
+        assert list(out.free_loops) == free
+        assert [lab for lab, _ in out.strings] == ["u", "w"]
+        text = emit_pd(out)
+        assert emit_pd(parse_pd(text)) == text
+
+    def test_compact_refuses_an_unpaired_fresh_dart(self):
+        d = zero_tangle()
+        alpha = pairing(d, 1)
+        connect(alpha, 4, 6)  # one transit of the fresh crossing paired
+        with pytest.raises(TangleError, match="left unpaired"):
+            compact(d, alpha, range(4), d.strings, ())
+
     def test_freeze_refuses_a_duplicate_label(self):
         d = zero_tangle()
         with pytest.raises(TangleError, match="two components labelled"):
-            Wiring.from_diagram(d).freeze(d, d.strings, (d.strings[0][0],))
+            compact(d, list(d.alpha), range(d.k), d.strings, (d.strings[0][0],))
 
     def test_closure_sample_covers_the_order_and_swap_cases(self):
         # a closure that frees a circle beside a free loop it inherits pins

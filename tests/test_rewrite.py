@@ -13,11 +13,11 @@ from tanglekit._poly import LaurentPoly
 from tanglekit.census import random_diagram
 from tanglekit.diagram import (
     TangleDiagram,
-    Wiring,
     add_boundary_twists,
     bracket_state_sum,
     cap,
     close_numerator,
+    close_with,
     close_with_x_arcs,
     emit_pd,
     horizontal_twists,
@@ -30,11 +30,9 @@ from tanglekit.diagram import (
 )
 from tanglekit.diagram.pdcode import parse_pd
 from tanglekit.diagram.rewrite import (
-    _finish,
     _pull,
     _r1,
     _r2,
-    _transit,
     _untwist,
     apply_pull,
     apply_r1,
@@ -177,7 +175,7 @@ def r2_push_by_trials(d, d1, d2, over_first=True):
         w.connect(("x", cp, N), ("x", cq, S))
         w.connect(("x", cq, N), v2)
         try:
-            return _finish(d, w)
+            return _wiring_finish(d, w, [])
         except TangleError:
             continue
     raise TangleError("R2 push failed to embed")
@@ -233,7 +231,7 @@ def r3_slide_by_trials(d, match):
         w.connect(mp, ("x", q2, m_pin))
         w.connect(("x", q2, m_end), ("x", p2, m_in))
         w.connect(("x", p2, m_out), mq)
-        return _finish(d, w)
+        return _wiring_finish(d, w, [])
 
     for rot_p in range(4):
         for rot_q in range(4):
@@ -250,6 +248,19 @@ class TestPinnedOutputs:
             records = fh.read().split("## ")[1:]
         pinned = dict(record.split("\n", 1) for record in records)
         assert rewrite_outputs() == pinned
+
+    def test_loopy_adder_outputs_pinned(self):
+        with open("tests/fixtures/loopy_adder_outputs.txt", encoding="utf-8") as fh:
+            records = fh.read().split("## ")[1:]
+        pinned = dict(record.split("\n", 1) for record in records)
+        assert loopy_adder_outputs() == pinned
+
+    def test_loopy_adder_sample_carries_loops(self):
+        # many pinned results are open tangles, and the draws' loops
+        # and free loops reach them
+        text = "".join(loopy_adder_outputs().values())
+        assert text.count("tangle k=2") > 100 and text.count("tangle k=3") > 50
+        assert text.count("S L0:") > 100 and text.count("S F0:") > 50
 
     def test_r2_push_matches_trials(self):
         pushes = 0
@@ -483,6 +494,81 @@ class TestLinkingInvariance:
 # -- the Wiring appliers the flat splice replaced, kept as its oracle ----------
 
 
+class Wiring:
+    """The port wiring the engine once edited, kept as an oracle.
+
+    Ports are ("x", cid, slot) or ("e", eid); `mate` is the pairing.
+    `endpoints` keeps the circular boundary order; crossing ids are
+    renumbered by `to_diagram` in `order` order.
+    """
+
+    def __init__(self):
+        self.mate: dict[tuple, tuple] = {}
+        self.order: list[int] = []
+        self.endpoints: list[int] = []
+        self._next = 0
+
+    @classmethod
+    def from_diagram(cls, d):
+        w = cls()
+        w.order = list(range(d.n))
+        w.endpoints = list(range(d.k))
+        w._next = d.n + d.k
+        for dart in range(d.num_darts):
+            w.mate[cls.port(d, dart)] = cls.port(d, d.alpha[dart])
+        return w
+
+    @staticmethod
+    def port(d, dart):
+        """The port of `d`'s dart in the wiring `from_diagram(d)`."""
+        if d.is_ep_dart(dart):
+            return ("e", dart - 4 * d.n)
+        return ("x", dart // 4, dart % 4)
+
+    def new_crossing(self):
+        cid = self._next
+        self._next += 1
+        self.order.append(cid)
+        return cid
+
+    def connect(self, a, b):
+        self.mate[a] = b
+        self.mate[b] = a
+
+    def join_through(self, p, q):
+        """Join the mates of ports p and q and drop both ports; None when
+        p and q were mated to each other."""
+        a = self.mate.pop(p)
+        b = self.mate.pop(q)
+        if a == q:
+            return None
+        self.connect(a, b)
+        return (a, b)
+
+    def to_diagram(self, strings=(), loops=(), free_loops=()):
+        """Unvalidated; `strings` anchor at endpoint ids, `loops` at ports."""
+        xindex = {cid: i for i, cid in enumerate(self.order)}
+        eindex = {eid: i for i, eid in enumerate(self.endpoints)}
+        n, k = len(self.order), len(self.endpoints)
+
+        def dart(port):
+            if port[0] == "x":
+                return 4 * xindex[port[1]] + port[2]
+            return 4 * n + eindex[port[1]]
+
+        alpha = [0] * (4 * n + k)
+        for p, q in self.mate.items():
+            alpha[dart(p)] = dart(q)
+        strings = tuple((lab, eindex[eid]) for lab, eid in strings)
+        loops = tuple((lab, dart(p)) for lab, p in loops)
+        return TangleDiagram(n, k, tuple(alpha), strings, loops, tuple(free_loops))
+
+
+def _transit(c, s):
+    """The two ports of the strand transit through slot s of crossing c."""
+    return ("x", c, s % 4), ("x", c, (s + 2) % 4)
+
+
 def _wiring_splice_out(w, d, c, slots, freed):
     """Take crossing c out of `w`, splicing the strand through each slot."""
     for s in slots:
@@ -659,6 +745,54 @@ def diagram_with_loops(seed, n, k, joins, free, moves):
         elif d.num_darts and d.n <= 9:
             d = apply_r1_add(d, rng.randrange(d.num_darts), rng.randrange(4))
     return d
+
+
+# the fillers of test_diagram's CLOSURE_FILLERS
+LOOPY_FILLERS = tuple(
+    reduce(p, q) for p, q in ((0, 1), (1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3))
+)
+
+
+def loopy_adder_outputs() -> dict[str, str]:
+    """`outcome` of every adder on seeded open tangles that carry loops.
+
+    Thirty `diagram_with_loops` draws, k = 4 and 6 in turn, each with
+    one or two endpoint joins.  Per draw: two seeded R1 kinks, two
+    seeded R2 pushes both over and under, and every R3 triangle; on
+    k = 6 every cap, every boundary twist by +-1 and the x-arc closure;
+    and every filler of `LOOPY_FILLERS` on each cap and each k = 4 draw.
+    """
+    rng = random.Random(21)
+    out = {}
+    for i in range(30):
+        k = (4, 6)[i % 2]
+        args = (rng.randrange(2**32), rng.randint(1, 6), k, rng.randint(1, 2))
+        d = diagram_with_loops(*args, rng.randint(0, 2), rng.randint(0, 3))
+        ops = {}
+        for dart in rng.sample(range(d.num_darts), min(2, d.num_darts)):
+            kind = rng.randrange(4)
+            ops[f"r1_add {dart} {kind}"] = partial(apply_r1_add, d, dart, kind)
+        pushes = r2_pushes(d)
+        for d1, d2 in rng.sample(pushes, min(2, len(pushes))):
+            for over_first in (True, False):
+                push = partial(apply_r2_add, d, d1, d2, over_first)
+                ops[f"r2_add {d1} {d2} {over_first}"] = push
+        for tri in r3_triangles(d):
+            ops[f"r3 {tri}"] = partial(apply_r3, d, tri)
+        closable = {"": d} if k == 4 else {}
+        if k == 6:
+            for j in (1, 2, 3):
+                ops[f"cap {j}"] = partial(cap, d, j)
+                closable[f"cap {j} "] = cap(d, j)
+                for m in (1, -1):
+                    ops[f"twists {j} {m}"] = partial(add_boundary_twists, d, j, m)
+            ops["xarcs"] = partial(close_with_x_arcs, d)
+        for prefix, t in closable.items():
+            for f in LOOPY_FILLERS:
+                ops[f"{prefix}close {f}"] = partial(close_with, t, f)
+        for name, op in ops.items():
+            out[f"draw {i} {args} {name}"] = outcome(op)
+    return out
 
 
 LOOPY_DIAGRAMS = dict(
