@@ -603,14 +603,6 @@ def _has_weak_string(d: TangleDiagram) -> bool:
     return any(counts[i] <= 1 for i, comp in enumerate(d.components) if not comp.closed)
 
 
-def is_split(d: TangleDiagram) -> bool:
-    """Sufficient split test: after free simplification some string meets
-    the union of the other two in at most one crossing."""
-    if _has_weak_string(d):
-        return True
-    return _has_weak_string(simplify(d, "free"))
-
-
 def _parallel_on_reduced(small: TangleDiagram) -> bool:
     open_comps = [c for c in small.components if not c.closed]
     if len(open_comps) < 2:
@@ -624,7 +616,6 @@ def _parallel_on_reduced(small: TangleDiagram) -> bool:
     if len(crossing_free) >= 2:
         return True
     nd = small.num_darts
-    edge_count: dict[str, int] = {}
     total_edges = {
         comp.label: len(comp.out_darts) for comp in open_comps
     }

@@ -71,7 +71,7 @@ def _cmd_solve(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             system = ExperimentSystem.from_dict(json.load(fh))
     else:
-        system = ExperimentSystem.table_defaults()
+        system = ExperimentSystem()
     try:
         report = solve_system(system)
     except (NoSolution, ParityViolation, UnsupportedCase) as e:

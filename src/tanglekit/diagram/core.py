@@ -70,10 +70,6 @@ class TangleDiagram:
     def is_ep_dart(self, d: int) -> bool:
         return d >= 4 * self.n
 
-    def through(self, d: int) -> int:
-        """Opposite port of the same strand transit at a crossing."""
-        return (d - d % 4) + (d % 4 + 2) % 4
-
     # -- strands -----------------------------------------------------------
 
     def _trace_from(self, start: int) -> tuple[tuple[int, ...], bool]:
@@ -89,7 +85,7 @@ class TangleDiagram:
             nxt = alpha[d]
             if nxt >= n4:
                 return tuple(out), False
-            d = nxt ^ 2  # `through`: slot s + 2 of the same crossing
+            d = nxt ^ 2  # the strand leaves by the opposite slot, s + 2 mod 4
             if d == start:
                 return tuple(out), True
 

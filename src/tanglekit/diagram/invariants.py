@@ -50,9 +50,6 @@ from .._poly import LaurentPoly
 from ..errors import BudgetExceeded, TangleError, UsageError
 from .core import TangleDiagram
 
-MINUS_A_CUBED = LaurentPoly.monomial(3, -1)
-MINUS_A_INV_CUBED = LaurentPoly.monomial(-3, -1)
-
 DEFAULT_BUDGET = 14
 
 
@@ -529,9 +526,8 @@ def fingerprint(d: TangleDiagram, det: int | None = None) -> tuple:
             w = self_w + sum(
                 s if (i in flipped) == (j in flipped) else -s for (i, j), s in pairs.items()
             )
-            # (-A^3)^{-w}
-            norm = (MINUS_A_INV_CUBED if w >= 0 else MINUS_A_CUBED).pow(abs(w))
-            polys.add((br * norm).key())
+            # br * (-A^3)^{-w}: shift every exponent by -3w, negate for odd w
+            polys.add(tuple((e - 3 * w, -c if w & 1 else c) for e, c in br.key()))
     fp = (m, tuple(sorted(polys)))
     if det is None:
         det = goeritz_determinant(d)

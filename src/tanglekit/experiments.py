@@ -8,10 +8,15 @@ diagram level.
 Experiment-to-index convention: the capped equation for index i models the
 recombination sites flanking the corresponding tangle string, so index 1
 is the enhancer-site experiment (sites on c2, c3), index 2 the attR-site
-experiment and index 3 the attL-site experiment.  Table defaults encode
-four right-handed (2,4) in cis deletion products, trefoil / 5-torus-knot
-inversion products, a (2,2) in trans deletion and a trefoil in trans
-inversion.
+experiment and index 3 the attL-site experiment.  Each product is a plain
+signed int k naming the (2,k) torus link, positive for right-handed.  The
+defaults, `ExperimentSystem()`, encode three right-handed (2,4) in cis
+deletion products, trefoil / 5-torus-knot inversion products, a (2,2) in
+trans deletion and a trefoil in trans inversion.
+
+Each in cis deletion pair with framing d is solved in closed form,
+O_i = -1/(L_i + d_i) (`_solve_capped` carries the proof); the framing and
+graph-twist conversions return plain (n1, n2, n3) tuples.
 
 The equation system is solved in exact fraction arithmetic alone, so the
 diagram imports sit inside the functions that build or verify diagrams:
@@ -27,10 +32,7 @@ from typing import TYPE_CHECKING
 from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (
     TangleFraction,
-    TorusLinkParam,
-    closure_with_filler,
     reduce,
-    solve_deletion_pair,
     solve_in_trans,
     solve_inversion_v,
     torus_two_bridge,
@@ -48,18 +50,14 @@ class ExperimentSystem:
     L1: int = 4
     L2: int = 4
     L3: int = 4
-    inv1: TorusLinkParam = TorusLinkParam(3)
-    inv2: TorusLinkParam = TorusLinkParam(5)
-    inv3: TorusLinkParam = TorusLinkParam(3)
+    inv1: int = 3
+    inv2: int = 5
+    inv3: int = 3
     Lt: int = 2
-    inv_t: TorusLinkParam = TorusLinkParam(3)
+    inv_t: int = 3
     d1: int = 0
     d2: int = 0
     d3: int = 0
-
-    @classmethod
-    def table_defaults(cls) -> "ExperimentSystem":
-        return cls()
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentSystem":
@@ -85,11 +83,11 @@ class ExperimentSystem:
             L1=value(deletion, "deletion", "e", 4),
             L2=value(deletion, "deletion", "attR", 4),
             L3=value(deletion, "deletion", "attL", 4),
-            inv1=TorusLinkParam(value(inversion, "inversion", "e", 3)),
-            inv2=TorusLinkParam(value(inversion, "inversion", "attR", 5)),
-            inv3=TorusLinkParam(value(inversion, "inversion", "attL", 3)),
+            inv1=value(inversion, "inversion", "e", 3),
+            inv2=value(inversion, "inversion", "attR", 5),
+            inv3=value(inversion, "inversion", "attL", 3),
             Lt=value(trans, "in_trans", "deletion", 2),
-            inv_t=TorusLinkParam(value(trans, "in_trans", "inversion", 3)),
+            inv_t=value(trans, "in_trans", "inversion", 3),
             d1=value(framing, "framing", "d1", 0),
             d2=value(framing, "framing", "d2", 0),
             d3=value(framing, "framing", "d3", 0),
@@ -98,8 +96,8 @@ class ExperimentSystem:
     def as_dict(self) -> dict:
         return {
             "deletion": {"e": self.L1, "attR": self.L2, "attL": self.L3},
-            "inversion": {"e": self.inv1.p, "attR": self.inv2.p, "attL": self.inv3.p},
-            "in_trans": {"deletion": self.Lt, "inversion": self.inv_t.p},
+            "inversion": {"e": self.inv1, "attR": self.inv2, "attL": self.inv3},
+            "in_trans": {"deletion": self.Lt, "inversion": self.inv_t},
             "framing": {"d1": self.d1, "d2": self.d2, "d3": self.d3},
         }
 
@@ -130,40 +128,22 @@ class SolutionReport:
         }
 
 
-@dataclass(frozen=True)
-class TwistSolution:
-    n1: int
-    n2: int
-    n3: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n1, self.n2, self.n3)
-
-
 def _solve_capped(L: int, d: int) -> TangleFraction:
     """X with N(X + 1/d) = right-handed (2,L) and N(X + 0/1) = unknot.
 
-    In normal form (d = 0) this is the in cis deletion lemma X = -1/L; a
-    nonzero framing shifts the answer to -1/(L + d).
+    The answer is X = -1/(L + d); at d = 0 it is the in cis deletion lemma
+    X = -1/L.  Proof that it solves both equations: write X = p/q in
+    canonical form.  Here |p| = 1, so N(X + 0/1) = N(X) is the unknot
+    (b(1, q), or N(1/0) when q = 0).  Against the filler 1/d the closure
+    is N(-(q + d*p)/p), and the right-handed (2,L) is N(L/1).  If
+    L + d > 0, then p = -1 and q = L + d, so -(q + d*p)/p = L/1.  If
+    L + d < 0, then p = 1 and q = -(L + d), so -(q + d*p)/p =
+    -(-(L + d) + d) = L.  If L + d = 0, then X = 1/0 (p = 1, q = 0) and
+    -(0 + d) = -d = L.
     """
     if abs(L) < 2:
         raise NoSolution(f"(2,{L}) is not a torus link product")
-    if d == 0:
-        return solve_deletion_pair(L)
-    # X = p/q with |p| = 1 (unknot equation); the 1/d closure fraction
-    # -(q + d*p)/p must land in the right-handed +L class, so q = -p(s+d)
-    # with s = +-L, checked exactly for chirality.
-    filler = reduce(1, d)
-    target = torus_two_bridge(L)
-    for p in (-1, 1):
-        for s in (L, -L):
-            fr = reduce(p, -p * (s + d))
-            if (
-                closure_with_filler(fr, filler) == target
-                and closure_with_filler(fr, TangleFraction(0, 1)).is_unknot
-            ):
-                return fr
-    raise NoSolution(f"no capped tangle matches (2,{L}) with framing d={d}")
+    return reduce(-1, L + d)
 
 
 def solve_system(sys: ExperimentSystem) -> SolutionReport:
@@ -194,15 +174,15 @@ def solve_system(sys: ExperimentSystem) -> SolutionReport:
     )
 
 
-def framing_convert(d1: int, d2: int, d3: int) -> TwistSolution:
+def framing_convert(d1: int, d2: int, d3: int) -> tuple[int, int, int]:
     """Unique integers with n_i + n_j = d_k for {i,j,k} = {1,2,3}."""
     if (d1 + d2 + d3) % 2 != 0:
         raise ParityViolation("d1 + d2 + d3 must be even")
     half = (d1 + d2 + d3) // 2
-    return TwistSolution(half - d1, half - d2, half - d3)
+    return (half - d1, half - d2, half - d3)
 
 
-def solve_graph_twists(f1: int, f2: int, f3: int) -> TwistSolution:
+def solve_graph_twists(f1: int, f2: int, f3: int) -> tuple[int, int, int]:
     """Unique integers with n_i + n_j + f_k = -4 for {i,j,k} = {1,2,3}."""
     if (f1 + f2 + f3) % 2 != 0:
         raise ParityViolation("f1 + f2 + f3 must be even")

@@ -217,31 +217,15 @@ def torus_two_bridge(P: int) -> TwoBridgeLink:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusLinkParam:
-    """(2,p) torus link/knot parameter, signed for handedness."""
-
-    p: int
-
-    @property
-    def components(self) -> int:
-        return 2 if self.p % 2 == 0 else 1
-
-    @property
-    def is_unknot(self) -> bool:
-        return abs(self.p) == 1
-
-
-def solve_deletion_pair(L: TorusLinkParam | int) -> TangleFraction:
+def solve_deletion_pair(L: int) -> TangleFraction:
     """Unique X with N(X + 0/1) = unknot and N(X + 1/0) = (2,L).
 
     L is signed: positive for the right-handed product.  The answer is
     -1/L; for a left-handed product this canonicalizes to +1/|L|.
     """
-    Lp = L.p if isinstance(L, TorusLinkParam) else L
-    if abs(Lp) < 2:
-        raise NoSolution(f"(2,{Lp}) is not a genuine torus link product")
-    return reduce(-1, Lp)
+    if abs(L) < 2:
+        raise NoSolution(f"(2,{L}) is not a genuine torus link product")
+    return reduce(-1, L)
 
 
 @dataclass(frozen=True)
@@ -290,9 +274,8 @@ def deletion_uniqueness_certificate(L: int, bound: int = 50) -> UniquenessCertif
     return UniquenessCertificate(L, bound, checked, tuple(found))
 
 
-def solve_inversion_v(O: TangleFraction, product: TorusLinkParam) -> int:
-    """Integer v with N(O + 1/v) = the given (2,k) torus knot."""
-    k = product.p
+def solve_inversion_v(O: TangleFraction, k: int) -> int:
+    """Integer v with N(O + 1/v) = the (2,k) torus knot, k signed."""
     if k % 2 == 0:
         raise NoSolution("inversion products are knots; (2,k) needs odd k")
     target = torus_two_bridge(k)

@@ -23,7 +23,6 @@ from tanglekit.census import (
     classify_level,
     generate_diagrams,
     has_parallel_strands,
-    is_split,
     naive_generate,
     random_diagram,
     verify_theorem_4_4,
@@ -314,13 +313,13 @@ class TestDetectors:
         from tanglekit.diagram import trivial_tangle
 
         d = trivial_tangle()
-        assert is_split(d)
+        assert classify(d) == "split"
         assert has_parallel_strands(d)
 
     def test_reference_tangle_freely_trivial(self):
         pjh = build_standard(-2, -2, -2)
         # rational tangles are split and have parallel strands
-        assert is_split(pjh)
+        assert classify(pjh) == "split"
         assert has_parallel_strands(pjh)
 
     def test_two_region_standard_parallel(self):

@@ -14,6 +14,7 @@ from tanglekit.diagram import (
 from tanglekit.errors import NoSolution, ParityViolation
 from tanglekit.experiments import (
     ExperimentSystem,
+    _solve_capped,
     build_standard,
     framing_convert,
     pjh_tangle,
@@ -21,12 +22,12 @@ from tanglekit.experiments import (
     solve_system,
     verify_solution_tangle,
 )
-from tanglekit.rational import TangleFraction, reduce
+from tanglekit.rational import TangleFraction, closure_with_filler, reduce, torus_two_bridge
 
 
 class TestSolveSystem:
     def test_table_defaults(self):
-        report = solve_system(ExperimentSystem.table_defaults())
+        report = solve_system(ExperimentSystem())
         assert report.O1 == report.O2 == report.O3 == reduce(-1, 4)
         assert report.T_minus_s23 == reduce(-1, 2)
         assert (report.v1, report.v2, report.v3) == (1, -1, 1)
@@ -49,30 +50,61 @@ class TestSolveSystem:
         assert report.O2 == reduce(-1, 4)
 
     def test_config_round_trip(self):
-        sys = ExperimentSystem.table_defaults()
+        sys = ExperimentSystem()
         assert ExperimentSystem.from_dict(sys.as_dict()) == sys
+
+
+def _capped_by_search(L, d):
+    """The four-candidate search the closed form replaced: X = p/q with
+    |p| = 1 for the unknot equation, q = -p(s + d) with s = +-L, each
+    checked exactly against both closures; the first hit, or None."""
+    filler = reduce(1, d)
+    target = torus_two_bridge(L)
+    for p in (-1, 1):
+        for s in (L, -L):
+            fr = reduce(p, -p * (s + d))
+            if (
+                closure_with_filler(fr, filler) == target
+                and closure_with_filler(fr, TangleFraction(0, 1)).is_unknot
+            ):
+                return fr
+    return None
+
+
+class TestCappedClosedForm:
+    def test_matches_search(self):
+        for L in [x for x in range(-40, 41) if abs(x) >= 2]:
+            for d in range(-40, 41):
+                assert _solve_capped(L, d) == _capped_by_search(L, d), (L, d)
+
+    @pytest.mark.parametrize("L", [-1, 0, 1])
+    def test_trivial_products_refused(self, L):
+        for d in (-3, 0, 2):
+            with pytest.raises(NoSolution) as err:
+                _solve_capped(L, d)
+            assert str(err.value) == f"(2,{L}) is not a torus link product"
 
 
 class TestTwistSolvers:
     def test_framing_identity(self):
-        assert framing_convert(0, 0, 0).as_tuple() == (0, 0, 0)
+        assert framing_convert(0, 0, 0) == (0, 0, 0)
 
     def test_framing_reference_values(self):
-        assert framing_convert(-1, 0, -1).as_tuple() == (0, -1, 0)
+        assert framing_convert(-1, 0, -1) == (0, -1, 0)
 
     def test_framing_even_sum(self):
-        assert framing_convert(2, 2, 2).as_tuple() == (1, 1, 1)
+        assert framing_convert(2, 2, 2) == (1, 1, 1)
 
     def test_framing_parity(self):
         with pytest.raises(ParityViolation):
             framing_convert(1, 0, 0)
 
     def test_graph_twists_symmetric(self):
-        assert solve_graph_twists(0, 0, 0).as_tuple() == (-2, -2, -2)
+        assert solve_graph_twists(0, 0, 0) == (-2, -2, -2)
 
     def test_graph_twists_oracle(self):
         # n2+n3 = -6, n3+n1 = -4, n1+n2 = -4 solved by hand
-        assert solve_graph_twists(2, 0, 0).as_tuple() == (-1, -3, -3)
+        assert solve_graph_twists(2, 0, 0) == (-1, -3, -3)
 
     def test_graph_twists_parity(self):
         with pytest.raises(ParityViolation):
@@ -80,7 +112,7 @@ class TestTwistSolvers:
 
     def test_linear_system_exact(self):
         for f in [(0, 2, 4), (-2, 0, 2), (6, -2, 0)]:
-            n = solve_graph_twists(*f).as_tuple()
+            n = solve_graph_twists(*f)
             assert n[0] + n[1] + f[2] == -4
             assert n[1] + n[2] + f[0] == -4
             assert n[2] + n[0] + f[1] == -4
@@ -144,13 +176,13 @@ class TestVerification:
 
     def test_solution_graph_construction(self):
         """Twist counts from the graph solver always verify."""
-        n = solve_graph_twists(0, 0, 0).as_tuple()
+        n = solve_graph_twists(0, 0, 0)
         report = verify_solution_tangle(build_standard(*n), in_trans=True)
         assert report.passed
 
     def test_other_framings_of_solution_graphs(self):
         # f = (2, 0, 0) corresponds to boundary twists on the trivial graph
-        base = build_standard(*solve_graph_twists(0, 0, 0).as_tuple())
+        base = build_standard(*solve_graph_twists(0, 0, 0))
         assert verify_solution_tangle(base).passed
 
     def test_pairwise_crossing_lower_bound(self):
@@ -170,7 +202,7 @@ class TestVerification:
         from tanglekit.diagram import add_boundary_twists, simplify
 
         pjh = pjh_tangle()
-        n = framing_convert(-2, 0, -2).as_tuple()
+        n = framing_convert(-2, 0, -2)
         shifted = pjh
         for i, twists in enumerate(n, start=1):
             shifted = add_boundary_twists(shifted, i, twists)

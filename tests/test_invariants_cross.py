@@ -75,7 +75,7 @@ class TestSolutionTangleProjectionBound:
             verify_solution_tangle,
         )
 
-        candidates = [build_standard(*solve_graph_twists(0, 0, 0).as_tuple())]
+        candidates = [build_standard(*solve_graph_twists(0, 0, 0))]
         for name in ("candidate_8x.pd", "candidate_9x.pd"):
             with open(f"tests/fixtures/{name}", encoding="utf-8") as fh:
                 candidates.append(parse_pd(fh.read()))

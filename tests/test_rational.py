@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tanglekit.errors import NoSolution, ParityViolation, UnsupportedCase
 from tanglekit.rational import (
     TangleFraction,
-    TorusLinkParam,
     add_integral,
     add_vertical,
     canonical_two_bridge,
@@ -142,7 +141,7 @@ class TestDeletionPair:
 
     def test_generalized(self):
         assert solve_deletion_pair(6) == reduce(-1, 6)
-        assert solve_deletion_pair(TorusLinkParam(5)) == reduce(-1, 5)
+        assert solve_deletion_pair(5) == reduce(-1, 5)
 
     def test_mirror_products(self):
         assert solve_deletion_pair(-4) == reduce(1, 4)
@@ -164,29 +163,29 @@ class TestDeletionPair:
 
 class TestInversion:
     def test_trefoil(self):
-        assert solve_inversion_v(reduce(-1, 4), TorusLinkParam(3)) == 1
+        assert solve_inversion_v(reduce(-1, 4), 3) == 1
 
     def test_five_torus(self):
-        assert solve_inversion_v(reduce(-1, 4), TorusLinkParam(5)) == -1
+        assert solve_inversion_v(reduce(-1, 4), 5) == -1
 
     def test_wrong_handed_five_torus_needs_nine(self):
-        assert solve_inversion_v(reduce(-1, 4), TorusLinkParam(-5)) == 9
+        assert solve_inversion_v(reduce(-1, 4), -5) == 9
 
     def test_in_trans_inversion(self):
-        assert solve_inversion_v(reduce(-1, 2), TorusLinkParam(3)) == -1
+        assert solve_inversion_v(reduce(-1, 2), 3) == -1
 
     def test_even_product_rejected(self):
         with pytest.raises(NoSolution):
-            solve_inversion_v(reduce(-1, 4), TorusLinkParam(4))
+            solve_inversion_v(reduce(-1, 4), 4)
 
     def test_realizable_from_general_tangle(self):
         # N(2/5 + 1/-1) closes to the fraction -3/2, the right trefoil
-        assert solve_inversion_v(reduce(2, 5), TorusLinkParam(3)) == -1
+        assert solve_inversion_v(reduce(2, 5), 3) == -1
 
     def test_unrealizable(self):
         # both determinant candidates close to b(9,2), never a torus link
         with pytest.raises(NoSolution):
-            solve_inversion_v(reduce(2, 5), TorusLinkParam(9))
+            solve_inversion_v(reduce(2, 5), 9)
 
 
 class TestInTrans:
