@@ -14,18 +14,6 @@ class LaurentPoly:
         cleaned = {int(e): int(c) for e, c in dict(terms).items() if c != 0}
         object.__setattr__(self, "_terms", tuple(sorted(cleaned.items())))
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -57,18 +45,6 @@ class LaurentPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def pow(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def key(self) -> tuple:
         """Stable hashable form for fingerprint tables."""

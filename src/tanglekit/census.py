@@ -28,7 +28,6 @@ diagrams and are classified variant by variant.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, fields
 from itertools import count
 
 from .diagram.core import TangleDiagram, switch_crossings
@@ -657,21 +656,47 @@ def has_parallel_strands(d: TangleDiagram) -> bool:
     return _parallel_on_reduced(simplify(d, "free"))
 
 
-@dataclass
 class EnumerationReport:
-    n: int
-    total: int = 0
-    split: int = 0
-    parallel: int = 0
-    reducible: int = 0
-    unresolved: list[str] = field(default_factory=list)
+    """Verdict counts of one crossing level, and the unresolved PD codes."""
+
+    __slots__ = ("n", "total", "split", "parallel", "reducible", "unresolved")
+
+    def __init__(
+        self,
+        n: int,
+        total: int = 0,
+        split: int = 0,
+        parallel: int = 0,
+        reducible: int = 0,
+        unresolved: list[str] | None = None,
+    ):
+        self.n = n
+        self.total = total
+        self.split = split
+        self.parallel = parallel
+        self.reducible = reducible
+        self.unresolved = [] if unresolved is None else unresolved
+
+    def __eq__(self, other):
+        if other.__class__ is not EnumerationReport:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     @property
     def holds(self) -> bool:
         return not self.unresolved
 
     def as_dict(self) -> dict:
-        return asdict(self) | {"holds": self.holds}
+        """The report's JSON object; `unresolved` is a copy of the list."""
+        return {
+            "n": self.n,
+            "total": self.total,
+            "split": self.split,
+            "parallel": self.parallel,
+            "reducible": self.reducible,
+            "unresolved": list(self.unresolved),
+            "holds": self.holds,
+        }
 
     def merge(self, other: "EnumerationReport") -> "EnumerationReport":
         """Add two shares of one level field by field (lists concatenate)."""
@@ -679,11 +704,11 @@ class EnumerationReport:
             raise ValueError("cannot merge reports for different n")
         return EnumerationReport(
             self.n,
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-                if f.name != "n"
-            },
+            self.total + other.total,
+            self.split + other.split,
+            self.parallel + other.parallel,
+            self.reducible + other.reducible,
+            self.unresolved + other.unresolved,
         )
 
 

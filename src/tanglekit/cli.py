@@ -13,7 +13,9 @@ TANGLEKIT_BUDGET), 3 budget exceeded.
 Each subcommand imports the modules it runs inside its handler.  A cold
 process without bytecode caches (PYTHONDONTWRITEBYTECODE, a read-only
 install) compiles every module it imports, and compiling all of them took
-longer than most commands' own work.
+longer than most commands' own work.  The package's records are plain
+classes, so no command loads the standard library's record-class
+generator, nor the `inspect`, `ast` and `dis` it pulls in.
 """
 
 from __future__ import annotations

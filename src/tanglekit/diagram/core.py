@@ -24,13 +24,11 @@ chained reduction steps and the rational builder's twist layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import NonPlanarCode, TangleError
 
 
-@dataclass(frozen=True)
 class Component:
     """One traced strand of a diagram.
 
@@ -40,23 +38,67 @@ class Component:
     closed ones.
     """
 
-    label: str
-    closed: bool
-    out_darts: tuple[int, ...]
-    start_ep: int | None = None
-    end_ep: int | None = None
+    __slots__ = ("label", "closed", "out_darts", "start_ep", "end_ep")
+
+    def __init__(
+        self,
+        label: str,
+        closed: bool,
+        out_darts: tuple[int, ...],
+        start_ep: int | None = None,
+        end_ep: int | None = None,
+    ):
+        self.label = label
+        self.closed = closed
+        self.out_darts = out_darts
+        self.start_ep = start_ep
+        self.end_ep = end_ep
+
+    def _fields(self) -> tuple:
+        return (self.label, self.closed, self.out_darts, self.start_ep, self.end_ep)
+
+    def __eq__(self, other):
+        if other.__class__ is not Component:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
 class TangleDiagram:
-    """Immutable planar diagram; operations return new diagrams."""
+    """Immutable planar diagram; operations return new diagrams.
 
-    n: int
-    k: int
-    alpha: tuple[int, ...]
-    strings: tuple[tuple[str, int], ...] = ()   # (label, start endpoint)
-    loops: tuple[tuple[str, int], ...] = ()     # (label, anchor out-dart)
-    free_loops: tuple[str, ...] = ()            # crossing-free circles
+    Diagrams compare and hash by their six fields, which are never
+    reassigned: the cached properties below are computed from them once.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        alpha: tuple[int, ...],
+        strings: tuple[tuple[str, int], ...] = (),  # (label, start endpoint)
+        loops: tuple[tuple[str, int], ...] = (),  # (label, anchor out-dart)
+        free_loops: tuple[str, ...] = (),  # crossing-free circles
+    ):
+        self.n = n
+        self.k = k
+        self.alpha = alpha
+        self.strings = strings
+        self.loops = loops
+        self.free_loops = free_loops
+
+    def _fields(self) -> tuple:
+        return (self.n, self.k, self.alpha, self.strings, self.loops, self.free_loops)
+
+    def __eq__(self, other):
+        if other.__class__ is not TangleDiagram:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     # -- dart helpers ------------------------------------------------------
 

@@ -34,7 +34,6 @@ to certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -52,14 +51,39 @@ from .rewrite import simplify
 from .surgery import close_numerator, close_with
 
 
-@dataclass(frozen=True)
 class LinkId:
     """Identification result: unknot, 2-bridge, (2,p) torus, or unknown."""
 
-    kind: str  # "unknot" | "unlink2" | "two_bridge" | "torus2" | "unknown"
-    two_bridge: TwoBridgeLink | None = None
-    torus: int | None = None
-    components: int | None = None
+    __slots__ = ("kind", "two_bridge", "torus", "components")
+
+    def __init__(
+        self,
+        kind: str,  # "unknot" | "unlink2" | "two_bridge" | "torus2" | "unknown"
+        two_bridge: TwoBridgeLink | None = None,
+        torus: int | None = None,
+        components: int | None = None,
+    ):
+        self.kind = kind
+        self.two_bridge = two_bridge
+        self.torus = torus
+        self.components = components
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.two_bridge, self.torus, self.components)
+
+    def __eq__(self, other):
+        if other.__class__ is not LinkId:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"LinkId(kind={self.kind!r}, two_bridge={self.two_bridge!r}, "
+            f"torus={self.torus!r}, components={self.components!r})"
+        )
 
     @classmethod
     def from_two_bridge(cls, tb: TwoBridgeLink) -> "LinkId":

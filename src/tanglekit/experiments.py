@@ -26,7 +26,6 @@ compilation would otherwise dominate a cold `tanglekit solve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import NoSolution, ParityViolation, TangleError, UsageError
@@ -43,21 +42,40 @@ if TYPE_CHECKING:
     from .diagram.identify import LinkId
 
 
-@dataclass(frozen=True)
 class ExperimentSystem:
     """Products and framing of the full experiment set (signed = handed)."""
 
-    L1: int = 4
-    L2: int = 4
-    L3: int = 4
-    inv1: int = 3
-    inv2: int = 5
-    inv3: int = 3
-    Lt: int = 2
-    inv_t: int = 3
-    d1: int = 0
-    d2: int = 0
-    d3: int = 0
+    __slots__ = ("L1", "L2", "L3", "inv1", "inv2", "inv3", "Lt", "inv_t", "d1", "d2", "d3")
+
+    def __init__(
+        self,
+        L1: int = 4,
+        L2: int = 4,
+        L3: int = 4,
+        inv1: int = 3,
+        inv2: int = 5,
+        inv3: int = 3,
+        Lt: int = 2,
+        inv_t: int = 3,
+        d1: int = 0,
+        d2: int = 0,
+        d3: int = 0,
+    ):
+        self.L1, self.L2, self.L3 = L1, L2, L3
+        self.inv1, self.inv2, self.inv3 = inv1, inv2, inv3
+        self.Lt, self.inv_t = Lt, inv_t
+        self.d1, self.d2, self.d3 = d1, d2, d3
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExperimentSystem:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentSystem":
@@ -102,19 +120,39 @@ class ExperimentSystem:
         }
 
 
-@dataclass(frozen=True)
 class SolutionReport:
     """Solved unknowns of the equation system."""
 
-    O1: TangleFraction
-    O2: TangleFraction
-    O3: TangleFraction
-    T_minus_s23: TangleFraction
-    v1: int
-    v2: int
-    v3: int
-    d_t_set: frozenset[int]
-    v_t: int
+    __slots__ = ("O1", "O2", "O3", "T_minus_s23", "v1", "v2", "v3", "d_t_set", "v_t")
+
+    def __init__(
+        self,
+        O1: TangleFraction,
+        O2: TangleFraction,
+        O3: TangleFraction,
+        T_minus_s23: TangleFraction,
+        v1: int,
+        v2: int,
+        v3: int,
+        d_t_set: frozenset[int],
+        v_t: int,
+    ):
+        self.O1, self.O2, self.O3 = O1, O2, O3
+        self.T_minus_s23 = T_minus_s23
+        self.v1, self.v2, self.v3 = v1, v2, v3
+        self.d_t_set = d_t_set
+        self.v_t = v_t
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not SolutionReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -208,13 +246,24 @@ def pjh_tangle() -> TangleDiagram:
     return build_standard(-2, -2, -2)
 
 
-@dataclass
 class EquationCheck:
-    name: str
-    expected: str
-    observed: str
-    passed: bool
-    inconclusive: bool = False
+    """One closure equation of a verification, with what was identified."""
+
+    __slots__ = ("name", "expected", "observed", "passed", "inconclusive")
+
+    def __init__(
+        self, name: str, expected: str, observed: str, passed: bool, inconclusive: bool = False
+    ):
+        self.name = name
+        self.expected = expected
+        self.observed = observed
+        self.passed = passed
+        self.inconclusive = inconclusive
+
+    def __eq__(self, other):
+        if other.__class__ is not EquationCheck:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
         return {
@@ -226,9 +275,18 @@ class EquationCheck:
         }
 
 
-@dataclass
 class VerificationReport:
-    checks: list[EquationCheck] = field(default_factory=list)
+    """The equation checks of one verification, in the order they ran."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[EquationCheck] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return self.checks == other.checks
 
     @property
     def passed(self) -> bool:
@@ -269,7 +327,7 @@ def verify_solution_tangle(
     Identification failures (fingerprint out of table) are reported as
     inconclusive, not as refutations.  |L| < 2 or |Lt| < 2 is a
     UsageError: (2,0) is the unlink and (2,+-1) the unknot, not a torus
-    link product, as `solve_deletion_pair` rules.
+    link product, as `_solve_capped` rules.
     """
     from .diagram.identify import LinkId
     from .diagram.surgery import cap, remove_string

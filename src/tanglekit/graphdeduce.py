@@ -22,7 +22,6 @@ the base inconsistent but closure continues so the conflict is visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InconsistentFacts, UsageError
@@ -68,9 +67,21 @@ def _validate_atom(atom: str) -> str:
     raise UsageError(f"unknown fact atom {atom!r}")
 
 
-@dataclass(frozen=True)
 class FactBase:
-    facts: frozenset[str]
+    """A set of fact atoms; `with_facts` returns a new base."""
+
+    __slots__ = ("facts",)
+
+    def __init__(self, facts: frozenset[str]):
+        self.facts = facts
+
+    def __eq__(self, other):
+        if other.__class__ is not FactBase:
+            return NotImplemented
+        return self.facts == other.facts
+
+    def __hash__(self) -> int:
+        return hash(self.facts)
 
     @classmethod
     def from_atoms(cls, atoms) -> "FactBase":
@@ -87,11 +98,26 @@ class FactBase:
         return not (PLANAR in self.facts and NOT_PLANAR in self.facts)
 
 
-@dataclass(frozen=True)
 class Derivation:
-    rule: str
-    premises: tuple[str, ...]
-    derived: str
+    """One rule firing: the atom `derived` from `premises`."""
+
+    __slots__ = ("rule", "premises", "derived")
+
+    def __init__(self, rule: str, premises: tuple[str, ...], derived: str):
+        self.rule = rule
+        self.premises = premises
+        self.derived = derived
+
+    def _fields(self) -> tuple:
+        return (self.rule, self.premises, self.derived)
+
+    def __eq__(self, other):
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -101,9 +127,18 @@ class Derivation:
         }
 
 
-@dataclass
 class ProofTrace:
-    steps: list[Derivation] = field(default_factory=list)
+    """The derivations of one closure, in the order they fired."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[Derivation] | None = None):
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other):
+        if other.__class__ is not ProofTrace:
+            return NotImplemented
+        return self.steps == other.steps
 
     def as_lines(self) -> list[str]:
         return [

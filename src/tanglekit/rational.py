@@ -18,22 +18,43 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd
 
 from .errors import NoSolution, ParityViolation, UnsupportedCase
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class TangleFraction:
     """Extended rational p/q naming a rational tangle.
 
     Canonical form: gcd(|p|, |q|) = 1, q >= 0, and q = 0 only as 1/0
-    (all k/0 name the same infinity tangle).  Zero is 0/1.
+    (all k/0 name the same infinity tangle).  Zero is 0/1.  Fractions
+    compare, hash and order by (p, q); like every record in the package,
+    they are never changed after construction.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other):
+        if other.__class__ is not TangleFraction:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __lt__(self, other):
+        if other.__class__ is not TangleFraction:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"TangleFraction(p={self.p!r}, q={self.q!r})"
 
     @property
     def is_infinity(self) -> bool:
@@ -92,7 +113,6 @@ def _schubert_class(beta: int, p: int) -> tuple[int, ...]:
     return tuple(sorted({b, _modinv(b, p)}))
 
 
-@dataclass(frozen=True)
 class TwoBridgeLink:
     """2-bridge link b(p, q) in canonical form.
 
@@ -104,9 +124,23 @@ class TwoBridgeLink:
     q' == q^{+-1} (mod p), same mirror.
     """
 
-    p: int
-    qc: int
-    mirror: int  # +1 or -1; +1 for amphichiral classes
+    __slots__ = ("p", "qc", "mirror")
+
+    def __init__(self, p: int, qc: int, mirror: int):
+        self.p = p
+        self.qc = qc
+        self.mirror = mirror  # +1 or -1; +1 for amphichiral classes
+
+    def __eq__(self, other):
+        if other.__class__ is not TwoBridgeLink:
+            return NotImplemented
+        return self.p == other.p and self.qc == other.qc and self.mirror == other.mirror
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.qc, self.mirror))
+
+    def __repr__(self) -> str:
+        return f"TwoBridgeLink(p={self.p!r}, qc={self.qc!r}, mirror={self.mirror!r})"
 
     @property
     def q(self) -> int:
@@ -217,25 +251,33 @@ def torus_two_bridge(P: int) -> TwoBridgeLink:
 # ---------------------------------------------------------------------------
 
 
-def solve_deletion_pair(L: int) -> TangleFraction:
-    """Unique X with N(X + 0/1) = unknot and N(X + 1/0) = (2,L).
-
-    L is signed: positive for the right-handed product.  The answer is
-    -1/L; for a left-handed product this canonicalizes to +1/|L|.
-    """
-    if abs(L) < 2:
-        raise NoSolution(f"(2,{L}) is not a genuine torus link product")
-    return reduce(-1, L)
-
-
-@dataclass(frozen=True)
 class UniquenessCertificate:
-    """Outcome of the bounded brute-force scan behind solve_deletion_pair."""
+    """Outcome of a bounded brute-force scan of the in cis deletion system.
 
-    L: int
-    bound: int
-    candidates_checked: int
-    solutions: tuple[TangleFraction, ...]
+    It checks the closed-form solution X = -1/L that
+    `experiments._solve_capped(L, 0)` returns.
+    """
+
+    __slots__ = ("L", "bound", "candidates_checked", "solutions")
+
+    def __init__(
+        self, L: int, bound: int, candidates_checked: int, solutions: tuple[TangleFraction, ...]
+    ):
+        self.L = L
+        self.bound = bound
+        self.candidates_checked = candidates_checked
+        self.solutions = solutions
+
+    def _fields(self) -> tuple:
+        return (self.L, self.bound, self.candidates_checked, self.solutions)
+
+    def __eq__(self, other):
+        if other.__class__ is not UniquenessCertificate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def unique(self) -> bool:

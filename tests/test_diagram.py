@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from poly_helpers import monomial, one, power, zero
 from tanglekit._poly import LOOP_FACTOR, LaurentPoly
 from tanglekit.census import random_diagram
 from tanglekit.diagram import (
@@ -268,7 +269,7 @@ class TestBracket:
         d = close_numerator(horizontal_twists(zero_tangle(), 1))
         s = simplify(d, "free")
         assert s.n == 0
-        assert bracket_state_sum(s) == LaurentPoly.one()
+        assert bracket_state_sum(s) == one()
 
     def test_hopf_value(self):
         h = close_numerator(horizontal_twists(zero_tangle(), 2))
@@ -452,8 +453,8 @@ def _union_find_state_sum(d):
     n = d.n
     if n == 0:
         loops = len(d.loops) + len(d.free_loops)
-        return LOOP_FACTOR.pow(loops - 1) if loops else LaurentPoly.one()
-    total = LaurentPoly.zero()
+        return power(LOOP_FACTOR, loops - 1) if loops else one()
+    total = zero()
     nd = d.num_darts
     alpha = d.alpha
     for state in range(1 << n):
@@ -483,8 +484,8 @@ def _union_find_state_sum(d):
                 union(base, base + 3)
                 union(base + 1, base + 2)
         loops = len({find(x) for x in range(nd)}) + len(d.free_loops)
-        term = LaurentPoly.monomial(a_count - (n - a_count))
-        total = total + term * LOOP_FACTOR.pow(loops - 1)
+        term = monomial(a_count - (n - a_count))
+        total = total + term * power(LOOP_FACTOR, loops - 1)
     return total
 
 
@@ -548,13 +549,13 @@ def _corrupt_top_term(br, fn):
     terms = dict(br.key())
     e = max(terms)
     c = terms.pop(e)
-    return LaurentPoly(terms) + LaurentPoly.monomial(*fn(e, c))
+    return LaurentPoly(terms) + monomial(*fn(e, c))
 
 
 def _drop_state(d, br, loops):
     """br without the term A^e delta^(loops - 1) of one state with `loops` loops."""
     e = max(e for e, m in _walk_histogram(d) if m == loops)
-    return br - LaurentPoly.monomial(e) * LOOP_FACTOR.pow(loops - 1)
+    return br - monomial(e) * power(LOOP_FACTOR, loops - 1)
 
 
 _CORRUPTIONS = {
@@ -874,7 +875,7 @@ def _oracle_fingerprint(d):
     for r in range(len(others) + 1):
         for flipped in combinations(others, r):
             w = sum(_oracle_sign(d, c, set(flipped)) for c in range(d.n))
-            norm = LaurentPoly.monomial(-3 * w, -1 if w % 2 else 1)  # (-A^3)^{-w}
+            norm = monomial(-3 * w, -1 if w % 2 else 1)  # (-A^3)^{-w}
             polys.add((br * norm).key())
     return (len(d.components), tuple(sorted(polys)))
 

@@ -1,7 +1,9 @@
 """Cold start: each command imports only the tanglekit modules it runs.
 
 Every case runs in a fresh interpreter, because the package's modules are
-already loaded in the test process.
+already loaded in the test process.  No command may import `dataclasses`
+or `inspect` beyond what a bare interpreter loads: each costs a cold
+process several milliseconds of compiling.
 """
 
 import json
@@ -15,13 +17,23 @@ import tanglekit.diagram
 
 BASE = {"tanglekit", "tanglekit.cli", "tanglekit.errors"}
 DIAGRAM = {"tanglekit.diagram", "tanglekit.diagram.core", "tanglekit.diagram.pdcode"}
+IDENTIFY = {
+    "tanglekit.rational",
+    "tanglekit._poly",
+    "tanglekit.diagram.build",
+    "tanglekit.diagram.identify",
+    "tanglekit.diagram.invariants",
+    "tanglekit.diagram.rewrite",
+    "tanglekit.diagram.surgery",
+} | DIAGRAM
+HEAVY = {"dataclasses", "inspect"}
 
 RUN_MAIN = """
 import contextlib, io, json, sys
 import tanglekit.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = tanglekit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tanglekit"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -31,6 +43,19 @@ def _loaded(script, *argv):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """Every module a bare `python -c pass` has loaded by the time it runs."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print('\\n'.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize(
@@ -51,13 +76,26 @@ def _loaded(script, *argv):
             ["reduce", "--pd", "tests/fixtures/figure_eight.pd"],
             {"tanglekit.diagram.rewrite"} | DIAGRAM,
         ),
+        (
+            ["pjh"],
+            {
+                "tanglekit.experiments",
+                "tanglekit.rational",
+                "tanglekit.diagram.build",
+                "tanglekit.diagram.surgery",
+            }
+            | DIAGRAM,
+        ),
+        (["verify", "--pd", "tests/fixtures/candidate_8x.pd"], {"tanglekit.experiments"} | IDENTIFY),
+        (["identify", "--pd", "tests/fixtures/figure_eight.pd"], IDENTIFY),
     ],
-    ids=["import", "solve", "deduce", "enumerate", "lk", "reduce"],
+    ids=["import", "solve", "deduce", "enumerate", "lk", "reduce", "pjh", "verify", "identify"],
 )
-def test_command_loads_only_its_modules(argv, adds):
+def test_command_loads_only_its_modules(argv, adds, bare_modules):
     code, loaded = _loaded(RUN_MAIN, *argv)
     assert code == 0
-    assert set(loaded) == BASE | adds
+    assert {m for m in loaded if m.startswith("tanglekit")} == BASE | adds
+    assert not HEAVY & (set(loaded) - bare_modules)
 
 
 def test_one_reexport_loads_one_submodule():

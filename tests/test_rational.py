@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit.errors import NoSolution, ParityViolation, UnsupportedCase
+from tanglekit.experiments import _solve_capped
 from tanglekit.rational import (
     TangleFraction,
     add_integral,
@@ -15,7 +16,6 @@ from tanglekit.rational import (
     invert,
     numerator_closure,
     reduce,
-    solve_deletion_pair,
     solve_in_trans,
     solve_inversion_v,
     torus_two_bridge,
@@ -134,21 +134,21 @@ class TestTwoBridge:
 
 class TestDeletionPair:
     def test_paper_value(self):
-        assert solve_deletion_pair(4) == reduce(-1, 4)
+        assert _solve_capped(4, 0) == reduce(-1, 4)
 
     def test_hopf_case(self):
-        assert solve_deletion_pair(2) == reduce(-1, 2)
+        assert _solve_capped(2, 0) == reduce(-1, 2)
 
     def test_generalized(self):
-        assert solve_deletion_pair(6) == reduce(-1, 6)
-        assert solve_deletion_pair(5) == reduce(-1, 5)
+        assert _solve_capped(6, 0) == reduce(-1, 6)
+        assert _solve_capped(5, 0) == reduce(-1, 5)
 
     def test_mirror_products(self):
-        assert solve_deletion_pair(-4) == reduce(1, 4)
+        assert _solve_capped(-4, 0) == reduce(1, 4)
 
     def test_rejects_trivial_products(self):
         with pytest.raises(NoSolution):
-            solve_deletion_pair(1)
+            _solve_capped(1, 0)
 
     @pytest.mark.parametrize("L", range(3, 9))
     def test_uniqueness_certificate(self, L):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanglekit._poly import LaurentPoly
+from poly_helpers import monomial
 from tanglekit.census import random_diagram
 from tanglekit.diagram import (
     TangleDiagram,
@@ -51,8 +51,8 @@ from tanglekit.errors import TangleError
 from tanglekit.experiments import build_standard
 from tanglekit.rational import reduce
 
-R1_UP = LaurentPoly.monomial(3, -1)
-R1_DOWN = LaurentPoly.monomial(-3, -1)
+R1_UP = monomial(3, -1)
+R1_DOWN = monomial(-3, -1)
 
 
 def _random_closed(rng, n):
