@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from itertools import count
 
+from ._record import Record
 from .diagram.core import TangleDiagram, switch_crossings
 from .diagram.pdcode import emit_pd
 from .diagram.rewrite import simplify
@@ -656,10 +657,11 @@ def has_parallel_strands(d: TangleDiagram) -> bool:
     return _parallel_on_reduced(simplify(d, "free"))
 
 
-class EnumerationReport:
+class EnumerationReport(Record):
     """Verdict counts of one crossing level, and the unresolved PD codes."""
 
-    __slots__ = ("n", "total", "split", "parallel", "reducible", "unresolved")
+    __slots__ = _fields = ("n", "total", "split", "parallel", "reducible", "unresolved")
+    __hash__ = None
 
     def __init__(
         self,
@@ -676,11 +678,6 @@ class EnumerationReport:
         self.parallel = parallel
         self.reducible = reducible
         self.unresolved = [] if unresolved is None else unresolved
-
-    def __eq__(self, other):
-        if other.__class__ is not EnumerationReport:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
     @property
     def holds(self) -> bool:

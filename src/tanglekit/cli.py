@@ -13,9 +13,10 @@ TANGLEKIT_BUDGET), 3 budget exceeded.
 Each subcommand imports the modules it runs inside its handler.  A cold
 process without bytecode caches (PYTHONDONTWRITEBYTECODE, a read-only
 install) compiles every module it imports, and compiling all of them took
-longer than most commands' own work.  The package's records are plain
-classes, so no command loads the standard library's record-class
-generator, nor the `inspect`, `ast` and `dis` it pulls in.
+longer than most commands' own work.  The package's records share one
+base class, `_record.Record`, which generates no code, so no command
+loads the standard library's record-class generator, nor the `inspect`,
+`ast` and `dis` it pulls in.
 """
 
 from __future__ import annotations
@@ -235,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("pjh", help="emit the reference solution tangle as PD")
-    p.add_argument("--emit", choices=["pd"], default="pd")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pjh)
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .._record import Record
 from ..errors import NonPlanarCode, TangleError
 
 
-class Component:
+class Component(Record):
     """One traced strand of a diagram.
 
     `out_darts` lists, in traversal order, the dart at the start of every
@@ -38,7 +39,7 @@ class Component:
     closed ones.
     """
 
-    __slots__ = ("label", "closed", "out_darts", "start_ep", "end_ep")
+    __slots__ = _fields = ("label", "closed", "out_darts", "start_ep", "end_ep")
 
     def __init__(
         self,
@@ -54,24 +55,16 @@ class Component:
         self.start_ep = start_ep
         self.end_ep = end_ep
 
-    def _fields(self) -> tuple:
-        return (self.label, self.closed, self.out_darts, self.start_ep, self.end_ep)
 
-    def __eq__(self, other):
-        if other.__class__ is not Component:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-class TangleDiagram:
+class TangleDiagram(Record):
     """Immutable planar diagram; operations return new diagrams.
 
     Diagrams compare and hash by their six fields, which are never
-    reassigned: the cached properties below are computed from them once.
+    reassigned: the cached properties below are computed from them once
+    and kept in the instance `__dict__`.
     """
+
+    _fields = ("n", "k", "alpha", "strings", "loops", "free_loops")
 
     def __init__(
         self,
@@ -88,17 +81,6 @@ class TangleDiagram:
         self.strings = strings
         self.loops = loops
         self.free_loops = free_loops
-
-    def _fields(self) -> tuple:
-        return (self.n, self.k, self.alpha, self.strings, self.loops, self.free_loops)
-
-    def __eq__(self, other):
-        if other.__class__ is not TangleDiagram:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     # -- dart helpers ------------------------------------------------------
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .._record import Record
 from ..errors import TangleError
 from ..rational import (
     TangleFraction,
@@ -51,10 +52,10 @@ from .rewrite import simplify
 from .surgery import close_numerator, close_with
 
 
-class LinkId:
+class LinkId(Record):
     """Identification result: unknot, 2-bridge, (2,p) torus, or unknown."""
 
-    __slots__ = ("kind", "two_bridge", "torus", "components")
+    __slots__ = _fields = ("kind", "two_bridge", "torus", "components")
 
     def __init__(
         self,
@@ -67,23 +68,6 @@ class LinkId:
         self.two_bridge = two_bridge
         self.torus = torus
         self.components = components
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.two_bridge, self.torus, self.components)
-
-    def __eq__(self, other):
-        if other.__class__ is not LinkId:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"LinkId(kind={self.kind!r}, two_bridge={self.two_bridge!r}, "
-            f"torus={self.torus!r}, components={self.components!r})"
-        )
 
     @classmethod
     def from_two_bridge(cls, tb: TwoBridgeLink) -> "LinkId":

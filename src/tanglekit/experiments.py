@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import NoSolution, ParityViolation, TangleError, UsageError
 from .rational import (
     TangleFraction,
@@ -42,10 +43,12 @@ if TYPE_CHECKING:
     from .diagram.identify import LinkId
 
 
-class ExperimentSystem:
+class ExperimentSystem(Record):
     """Products and framing of the full experiment set (signed = handed)."""
 
-    __slots__ = ("L1", "L2", "L3", "inv1", "inv2", "inv3", "Lt", "inv_t", "d1", "d2", "d3")
+    __slots__ = _fields = (
+        "L1", "L2", "L3", "inv1", "inv2", "inv3", "Lt", "inv_t", "d1", "d2", "d3"
+    )
 
     def __init__(
         self,
@@ -65,17 +68,6 @@ class ExperimentSystem:
         self.inv1, self.inv2, self.inv3 = inv1, inv2, inv3
         self.Lt, self.inv_t = Lt, inv_t
         self.d1, self.d2, self.d3 = d1, d2, d3
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not ExperimentSystem:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentSystem":
@@ -120,10 +112,10 @@ class ExperimentSystem:
         }
 
 
-class SolutionReport:
+class SolutionReport(Record):
     """Solved unknowns of the equation system."""
 
-    __slots__ = ("O1", "O2", "O3", "T_minus_s23", "v1", "v2", "v3", "d_t_set", "v_t")
+    __slots__ = _fields = ("O1", "O2", "O3", "T_minus_s23", "v1", "v2", "v3", "d_t_set", "v_t")
 
     def __init__(
         self,
@@ -142,17 +134,6 @@ class SolutionReport:
         self.v1, self.v2, self.v3 = v1, v2, v3
         self.d_t_set = d_t_set
         self.v_t = v_t
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not SolutionReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -246,10 +227,11 @@ def pjh_tangle() -> TangleDiagram:
     return build_standard(-2, -2, -2)
 
 
-class EquationCheck:
+class EquationCheck(Record):
     """One closure equation of a verification, with what was identified."""
 
-    __slots__ = ("name", "expected", "observed", "passed", "inconclusive")
+    __slots__ = _fields = ("name", "expected", "observed", "passed", "inconclusive")
+    __hash__ = None
 
     def __init__(
         self, name: str, expected: str, observed: str, passed: bool, inconclusive: bool = False
@@ -259,11 +241,6 @@ class EquationCheck:
         self.observed = observed
         self.passed = passed
         self.inconclusive = inconclusive
-
-    def __eq__(self, other):
-        if other.__class__ is not EquationCheck:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
         return {
@@ -275,18 +252,14 @@ class EquationCheck:
         }
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """The equation checks of one verification, in the order they ran."""
 
-    __slots__ = ("checks",)
+    __slots__ = _fields = ("checks",)
+    __hash__ = None
 
     def __init__(self, checks: list[EquationCheck] | None = None):
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not VerificationReport:
-            return NotImplemented
-        return self.checks == other.checks
 
     @property
     def passed(self) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ._record import Record
 from .errors import InconsistentFacts, UsageError
 
 EDGES = ("e1", "e2", "e3", "b12", "b23", "b31")
@@ -67,21 +68,13 @@ def _validate_atom(atom: str) -> str:
     raise UsageError(f"unknown fact atom {atom!r}")
 
 
-class FactBase:
+class FactBase(Record):
     """A set of fact atoms; `with_facts` returns a new base."""
 
-    __slots__ = ("facts",)
+    __slots__ = _fields = ("facts",)
 
     def __init__(self, facts: frozenset[str]):
         self.facts = facts
-
-    def __eq__(self, other):
-        if other.__class__ is not FactBase:
-            return NotImplemented
-        return self.facts == other.facts
-
-    def __hash__(self) -> int:
-        return hash(self.facts)
 
     @classmethod
     def from_atoms(cls, atoms) -> "FactBase":
@@ -98,26 +91,15 @@ class FactBase:
         return not (PLANAR in self.facts and NOT_PLANAR in self.facts)
 
 
-class Derivation:
+class Derivation(Record):
     """One rule firing: the atom `derived` from `premises`."""
 
-    __slots__ = ("rule", "premises", "derived")
+    __slots__ = _fields = ("rule", "premises", "derived")
 
     def __init__(self, rule: str, premises: tuple[str, ...], derived: str):
         self.rule = rule
         self.premises = premises
         self.derived = derived
-
-    def _fields(self) -> tuple:
-        return (self.rule, self.premises, self.derived)
-
-    def __eq__(self, other):
-        if other.__class__ is not Derivation:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -127,18 +109,14 @@ class Derivation:
         }
 
 
-class ProofTrace:
+class ProofTrace(Record):
     """The derivations of one closure, in the order they fired."""
 
-    __slots__ = ("steps",)
+    __slots__ = _fields = ("steps",)
+    __hash__ = None
 
     def __init__(self, steps: list[Derivation] | None = None):
         self.steps = [] if steps is None else steps
-
-    def __eq__(self, other):
-        if other.__class__ is not ProofTrace:
-            return NotImplemented
-        return self.steps == other.steps
 
     def as_lines(self) -> list[str]:
         return [

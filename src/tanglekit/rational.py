@@ -21,11 +21,12 @@ from __future__ import annotations
 from functools import total_ordering
 from math import gcd
 
+from ._record import Record
 from .errors import NoSolution, ParityViolation, UnsupportedCase
 
 
 @total_ordering
-class TangleFraction:
+class TangleFraction(Record):
     """Extended rational p/q naming a rational tangle.
 
     Canonical form: gcd(|p|, |q|) = 1, q >= 0, and q = 0 only as 1/0
@@ -34,27 +35,16 @@ class TangleFraction:
     they are never changed after construction.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
 
-    def __eq__(self, other):
-        if other.__class__ is not TangleFraction:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
     def __lt__(self, other):
         if other.__class__ is not TangleFraction:
             return NotImplemented
         return (self.p, self.q) < (other.p, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"TangleFraction(p={self.p!r}, q={self.q!r})"
 
     @property
     def is_infinity(self) -> bool:
@@ -113,7 +103,7 @@ def _schubert_class(beta: int, p: int) -> tuple[int, ...]:
     return tuple(sorted({b, _modinv(b, p)}))
 
 
-class TwoBridgeLink:
+class TwoBridgeLink(Record):
     """2-bridge link b(p, q) in canonical form.
 
     p = 0 is the 2-component unlink, p = 1 the unknot.  Otherwise qc is the
@@ -124,23 +114,12 @@ class TwoBridgeLink:
     q' == q^{+-1} (mod p), same mirror.
     """
 
-    __slots__ = ("p", "qc", "mirror")
+    __slots__ = _fields = ("p", "qc", "mirror")
 
     def __init__(self, p: int, qc: int, mirror: int):
         self.p = p
         self.qc = qc
         self.mirror = mirror  # +1 or -1; +1 for amphichiral classes
-
-    def __eq__(self, other):
-        if other.__class__ is not TwoBridgeLink:
-            return NotImplemented
-        return self.p == other.p and self.qc == other.qc and self.mirror == other.mirror
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.qc, self.mirror))
-
-    def __repr__(self) -> str:
-        return f"TwoBridgeLink(p={self.p!r}, qc={self.qc!r}, mirror={self.mirror!r})"
 
     @property
     def q(self) -> int:
@@ -249,71 +228,6 @@ def torus_two_bridge(P: int) -> TwoBridgeLink:
 # ---------------------------------------------------------------------------
 # Tangle equation solvers
 # ---------------------------------------------------------------------------
-
-
-class UniquenessCertificate:
-    """Outcome of a bounded brute-force scan of the in cis deletion system.
-
-    It checks the closed-form solution X = -1/L that
-    `experiments._solve_capped(L, 0)` returns.
-    """
-
-    __slots__ = ("L", "bound", "candidates_checked", "solutions")
-
-    def __init__(
-        self, L: int, bound: int, candidates_checked: int, solutions: tuple[TangleFraction, ...]
-    ):
-        self.L = L
-        self.bound = bound
-        self.candidates_checked = candidates_checked
-        self.solutions = solutions
-
-    def _fields(self) -> tuple:
-        return (self.L, self.bound, self.candidates_checked, self.solutions)
-
-    def __eq__(self, other):
-        if other.__class__ is not UniquenessCertificate:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    @property
-    def unique(self) -> bool:
-        return len(self.solutions) == 1
-
-
-def deletion_uniqueness_certificate(L: int, bound: int = 50) -> UniquenessCertificate:
-    """Scan every reduced p/q with |p|,|q| <= bound against both equations.
-
-    This is a sanity oracle, not the proof: tangle calculus already gives
-    uniqueness analytically.
-    """
-    if abs(L) < 2:
-        raise NoSolution(f"(2,{L}) is not a genuine torus link product")
-    unknot = TwoBridgeLink(1, 0, 1)
-    target = torus_two_bridge(L)
-    checked = 0
-    found = []
-    for q in range(0, bound + 1):
-        for p in range(-bound, bound + 1):
-            if p == 0 and q == 0:
-                continue
-            if q == 0 and p != 1:
-                continue  # only 1/0 is canonical
-            if p == 0 and q != 1:
-                continue
-            if gcd(abs(p), q) > 1:
-                continue
-            t = TangleFraction(p, q)
-            checked += 1
-            if numerator_closure(t) != unknot:
-                continue
-            if closure_with_filler(t, TangleFraction(1, 0)) != target:
-                continue
-            found.append(t)
-    return UniquenessCertificate(L, bound, checked, tuple(found))
 
 
 def solve_inversion_v(O: TangleFraction, k: int) -> int:

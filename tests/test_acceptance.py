@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from oracles import deletion_uniqueness_certificate
 from poly_helpers import monomial
 from tanglekit.census import random_diagram, verify_theorem_4_4
 from tanglekit.diagram import (
@@ -43,7 +44,6 @@ from tanglekit.graphdeduce import (
 )
 from tanglekit.rational import (
     TangleFraction,
-    deletion_uniqueness_certificate,
     numerator_closure,
     reduce,
 )

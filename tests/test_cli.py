@@ -55,6 +55,12 @@ class TestPipelines:
         report = json.loads(result.stdout)
         assert report["passed"] and len(report["checks"]) == 8
 
+    def test_pjh_has_no_emit_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pjh", "--emit", "pd"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --emit pd" in capsys.readouterr().err
+
     def test_verify_failure_exit(self, tmp_path, capsys):
         from tanglekit.diagram import emit_pd, trivial_tangle
 

@@ -16,7 +16,12 @@ import pytest
 import tanglekit.diagram
 
 BASE = {"tanglekit", "tanglekit.cli", "tanglekit.errors"}
-DIAGRAM = {"tanglekit.diagram", "tanglekit.diagram.core", "tanglekit.diagram.pdcode"}
+DIAGRAM = {
+    "tanglekit._record",
+    "tanglekit.diagram",
+    "tanglekit.diagram.core",
+    "tanglekit.diagram.pdcode",
+}
 IDENTIFY = {
     "tanglekit.rational",
     "tanglekit._poly",
@@ -62,8 +67,11 @@ def bare_modules():
     "argv,adds",
     [
         ([], set()),
-        (["solve"], {"tanglekit.experiments", "tanglekit.rational"}),
-        (["deduce", "--facts", "tests/fixtures/facts_empty.json"], {"tanglekit.graphdeduce"}),
+        (["solve"], {"tanglekit._record", "tanglekit.experiments", "tanglekit.rational"}),
+        (
+            ["deduce", "--facts", "tests/fixtures/facts_empty.json"],
+            {"tanglekit._record", "tanglekit.graphdeduce"},
+        ),
         (
             ["enumerate", "--max-crossings", "1"],
             {"tanglekit.census", "tanglekit.diagram.rewrite"} | DIAGRAM,
@@ -107,6 +115,7 @@ def test_one_reexport_loads_one_submodule():
     assert set(loaded) == {
         "tanglekit",
         "tanglekit.errors",
+        "tanglekit._record",
         "tanglekit.diagram",
         "tanglekit.diagram.core",
         "tanglekit.diagram.rewrite",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import deletion_uniqueness_certificate
 from tanglekit.errors import NoSolution, ParityViolation, UnsupportedCase
 from tanglekit.experiments import _solve_capped
 from tanglekit.rational import (
@@ -12,7 +13,6 @@ from tanglekit.rational import (
     add_vertical,
     canonical_two_bridge,
     closure_with_filler,
-    deletion_uniqueness_certificate,
     invert,
     numerator_closure,
     reduce,

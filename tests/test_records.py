@@ -1,8 +1,9 @@
-"""The record types: constructors, equality, hashing, ordering and reports.
+"""The record types: constructors, equality, hashing, ordering, reprs and reports.
 
 Every record compares equal field by field and only to its own type.  The
 immutable ones hash by their fields, so they serve as set members and
-cache keys; the reports that fill in as they go are unhashable.
+cache keys; the reports that fill in as they go are unhashable.  Every
+record prints as `Cls(field=value, ...)` in field order.
 """
 
 import json
@@ -10,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import UniquenessCertificate
 from tanglekit.census import EnumerationReport
 from tanglekit.diagram.core import Component, TangleDiagram
 from tanglekit.diagram.identify import LinkId
@@ -23,7 +25,6 @@ from tanglekit.graphdeduce import Derivation, FactBase, ProofTrace
 from tanglekit.rational import (
     TangleFraction,
     TwoBridgeLink,
-    UniquenessCertificate,
     reduce,
 )
 
@@ -189,3 +190,92 @@ def test_enumeration_report_as_dict_and_merge():
     assert EnumerationReport(0).as_dict()["holds"] is True
     with pytest.raises(ValueError):
         a.merge(EnumerationReport(4))
+
+
+REPRS = [
+    (TangleFraction(-1, 4), "TangleFraction(p=-1, q=4)"),
+    (HOPF, "TwoBridgeLink(p=2, qc=1, mirror=1)"),
+    (
+        UniquenessCertificate(4, 10, 77, (TangleFraction(-1, 4),)),
+        "UniquenessCertificate(L=4, bound=10, candidates_checked=77, "
+        "solutions=(TangleFraction(p=-1, q=4),))",
+    ),
+    (
+        Component("s1", False, (0, 5), 0, 3),
+        "Component(label='s1', closed=False, out_darts=(0, 5), start_ep=0, end_ep=3)",
+    ),
+    (
+        TangleDiagram(1, 0, (2, 3, 0, 1), (), (("a", 0), ("b", 1))),
+        "TangleDiagram(n=1, k=0, alpha=(2, 3, 0, 1), strings=(), "
+        "loops=(('a', 0), ('b', 1)), free_loops=())",
+    ),
+    (
+        LinkId("torus2", two_bridge=HOPF, torus=2, components=2),
+        "LinkId(kind='torus2', two_bridge=TwoBridgeLink(p=2, qc=1, mirror=1), "
+        "torus=2, components=2)",
+    ),
+    (
+        ExperimentSystem(L1=6, d3=-1),
+        "ExperimentSystem(L1=6, L2=4, L3=4, inv1=3, inv2=5, inv3=3, Lt=2, inv_t=3, "
+        "d1=0, d2=0, d3=-1)",
+    ),
+    (
+        SolutionReport(*[TangleFraction(-1, 4)] * 4, 1, -1, 1, frozenset({0}), -1),
+        "SolutionReport(O1=TangleFraction(p=-1, q=4), O2=TangleFraction(p=-1, q=4), "
+        "O3=TangleFraction(p=-1, q=4), T_minus_s23=TangleFraction(p=-1, q=4), "
+        "v1=1, v2=-1, v3=1, d_t_set=frozenset({0}), v_t=-1)",
+    ),
+    (FactBase(frozenset({"Planar"})), "FactBase(facts=frozenset({'Planar'}))"),
+    (
+        Derivation("thompson", ("PlanarMinus:e1",), "Planar"),
+        "Derivation(rule='thompson', premises=('PlanarMinus:e1',), derived='Planar')",
+    ),
+    (
+        EquationCheck("e", "unknot", "b(3,1)", False, True),
+        "EquationCheck(name='e', expected='unknot', observed='b(3,1)', passed=False, "
+        "inconclusive=True)",
+    ),
+    (
+        VerificationReport([EquationCheck("e", "x", "x", True)]),
+        "VerificationReport(checks=[EquationCheck(name='e', expected='x', observed='x', "
+        "passed=True, inconclusive=False)])",
+    ),
+    (
+        ProofTrace([Derivation("g", ("a",), "b")]),
+        "ProofTrace(steps=[Derivation(rule='g', premises=('a',), derived='b')])",
+    ),
+    (
+        EnumerationReport(2, 5, 3, 1, 1, ["pd"]),
+        "EnumerationReport(n=2, total=5, split=3, parallel=1, reducible=1, unresolved=['pd'])",
+    ),
+]
+
+
+@pytest.mark.parametrize("record,text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_repr_names_every_field_in_order(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize(
+    "record,fields",
+    [
+        (TangleFraction(-1, 4), (-1, 4)),
+        (TwoBridgeLink(7, 3, -1), (7, 3, -1)),
+        (Component("s1", False, (0, 5), 0, 3), ("s1", False, (0, 5), 0, 3)),
+        (
+            TangleDiagram(1, 0, (2, 3, 0, 1), (), (("a", 0), ("b", 1))),
+            (1, 0, (2, 3, 0, 1), (), (("a", 0), ("b", 1)), ()),
+        ),
+    ],
+    ids=["TangleFraction", "TwoBridgeLink", "Component", "TangleDiagram"],
+)
+def test_hash_is_the_hash_of_the_field_tuple(record, fields):
+    # set and dict iteration order over records then matches that of their field tuples
+    assert hash(record) == hash(fields)
+
+
+@pytest.mark.parametrize(
+    "cls", [EquationCheck, VerificationReport, ProofTrace, EnumerationReport]
+)
+def test_reports_that_fill_in_have_no_hash(cls):
+    assert cls.__hash__ is None
