@@ -28,8 +28,14 @@ the query once and looks it up in the class of that determinant only.
 Fraction recovery uses the same lemma.  The 0/1, 1/0 and 1/1 closures of
 p/q (q >= 0) have determinants (|p|, q, |p + q|), and |p + q| = |p| + q
 exactly when p >= 0 or q = 0, so the triple, read off the closures'
-Goeritz matrices, names at most one fraction; brackets are computed only
-to certify it.
+Goeritz matrices, names at most one fraction.  The candidate is certified
+by the tangle's own bracket, contracted once as the pair (f, g) over the
+tangles [0] and [inf] (`bracket_pair`), not by fingerprints of its
+closures: the endpoints each string joins, the closed components, the
+signed crossings between the strings and the writhe-normalized pair must
+equal those of the candidate's reference twist diagram.  Each is
+invariant under Reidemeister moves that fix the boundary, and together
+they fix every closure fingerprint (`recover_fraction` gives the proof).
 """
 
 from __future__ import annotations
@@ -47,7 +53,17 @@ from ..rational import (
 )
 from .build import rational_tangle_diagram
 from .core import TangleDiagram
-from .invariants import _check_budget, determinant, fingerprint, goeritz_determinant
+from .invariants import (
+    _check_budget,
+    _check_det,
+    _normalized,
+    _signed_pairs,
+    bracket_pair,
+    closure_determinants,
+    determinant,
+    fingerprint,
+    goeritz_determinant,
+)
 from .rewrite import simplify
 from .surgery import close_numerator, close_with
 
@@ -171,9 +187,34 @@ def identify_link(d: TangleDiagram) -> LinkId:
 _FILLERS = (TangleFraction(0, 1), TangleFraction(1, 0), reduce(1, 1))
 
 
-def _probes(d: TangleDiagram) -> tuple:
-    """Fingerprints of the 0/1, 1/0 and 1/1 closures of a 2-string tangle."""
-    return tuple(fingerprint(close_with(d, f)) for f in _FILLERS)
+def _certificate(d: TangleDiagram, dets) -> tuple:
+    """The pair certificate of a 2-string tangle whose 0/1, 1/0 and 1/1
+    closures have the Goeritz determinants `dets`.
+
+    It is the endpoints each string joins, the number of closed
+    components, the signed sum of the crossings between the two strings,
+    each oriented from its lower endpoint, and (-A^3)^(-w_self) (f, g),
+    with (f, g) the `bracket_pair` and w_self the signed sum of every
+    component's crossings with itself.  The pair is cross-checked first:
+    each closure bracket it gives must have that closure's determinant,
+    or TangleError is raised, as `fingerprint` does.
+    """
+    f, g = bracket_pair(d)
+    for got, det in zip(closure_determinants(f, g), dets):
+        _check_det(got, det)
+    self_w, pairs = _signed_pairs(d)
+    s, t = d.components[:2]
+    between = pairs.get((0, 1), 0)
+    if (s.start_ep > s.end_ep) != (t.start_ep > t.end_ep):
+        between = -between
+    ends = tuple(sorted((min(c.start_ep, c.end_ep), max(c.start_ep, c.end_ep)) for c in (s, t)))
+    return (
+        ends,
+        len(d.components) - 2,
+        between,
+        _normalized(f, self_w),
+        _normalized(g, self_w),
+    )
 
 
 RECOVER_BOUND = 8
@@ -181,18 +222,41 @@ RECOVER_BOUND = 8
 
 @lru_cache(maxsize=None)
 def _closure_fingerprints(p: int, q: int) -> tuple:
-    return _probes(rational_tangle_diagram(TangleFraction(p, q)))
+    """The pair certificate of the reference twist diagram of p/q, whose
+    closures have determinants |p|, q and |p + q|."""
+    return _certificate(rational_tangle_diagram(TangleFraction(p, q)), (abs(p), q, abs(p + q)))
 
 
 def recover_fraction(d: TangleDiagram) -> TangleFraction:
-    """Recover p/q of a rational 2-string tangle diagram by closure probes.
+    """Recover p/q of a rational 2-string tangle diagram.
 
     The Goeritz determinants (a, b, c) of the 0/1, 1/0 and 1/1 closures,
     each within the crossing budget, name the one candidate p/b,
     p = a if c == a + b else -a.  It is the answer when reduced, within
-    |p|,|q| <= RECOVER_BOUND, and its reference twist diagram has the same
-    three closure fingerprints; otherwise TangleError is raised, with no
-    bracket computed when there is no candidate to certify.
+    |p|,|q| <= RECOVER_BOUND, and the tangle's pair certificate
+    (`_certificate`) equals that of the reference twist diagram of p/b;
+    otherwise TangleError is raised, with no bracket computed when there
+    is no candidate to certify.
+
+    Every diagram of p/b is accepted.  Each part of the certificate is
+    invariant under Reidemeister moves that fix the boundary: R2 and R3
+    change neither the bracket nor any signed crossing sum, and R1 adds or
+    removes a kink, a self-crossing, so it moves w_self by +-1 and
+    multiplies f and g by -A^(+-3), which (-A^3)^(-w_self) cancels.
+    Rational tangles with one fraction are isotopic rel boundary (Conway),
+    so every diagram of p/b has the reference's certificate.
+
+    Nothing the three closure fingerprints refused is accepted.  The
+    reference has no closed component, so a query that matches has none
+    either, and the endpoints each string joins fix every closure's
+    component count.  Under any orientation choice, a closure's writhe w
+    is w_self, plus the crossings between the strings, plus the filler's
+    own crossing; given those endpoints, the choice fixes the signs of the
+    last two from the strings' lower-endpoint orientations, so w - w_self
+    is the same for query and reference.  A closure bracket is linear in
+    (f, g) (see `closure_determinants`), so (-A^3)^(-w) <N(T + F)> is one
+    linear form in (-A^3)^(-w_self) (f, g) for both.  So every closure
+    has the reference's fingerprint.
     """
     if d.k != 4:
         raise TangleError("fraction recovery needs a 2-string tangle")
@@ -204,7 +268,6 @@ def recover_fraction(d: TangleDiagram) -> TangleFraction:
     a, b, c = dets
     p = a if c == a + b else -a
     if gcd(a, b) == 1 and max(a, b) <= RECOVER_BOUND:
-        probes = tuple(fingerprint(closed, det) for closed, det in zip(closures, dets))
-        if _closure_fingerprints(p, b) == probes:
+        if _closure_fingerprints(p, b) == _certificate(small, dets):
             return TangleFraction(p, b)
     raise TangleError(f"tangle does not match any p/q with |p|,|q| <= {RECOVER_BOUND}")

@@ -11,15 +11,22 @@ Two independent Kauffman bracket implementations are kept side by side:
   split walks both halves in lockstep and relabels the first to close.
   A split that leaves one loop can only happen on a non-planar map and
   raises TangleError;
-- `bracket_skein` contracts the diagram one crossing at a time in BFS
+- `_contract` contracts the diagram one crossing at a time in BFS
   order, keeping the partial state sum as counts per (frontier matching,
   A-exponent, closed loops), so its cost follows the frontier's width
   rather than 2^n (the local contraction of Bar-Natan, "Fast Khovanov
   homology computations", applied to Kauffman's state model).
 
-Both build a single polynomial at the end.  Production runs only the
-contraction; `bracket_state_sum` is its oracle in the tests.  Each
-fingerprint is cross-checked instead against `goeritz_determinant`, an
+The contraction has two readers.  `bracket_skein` reads a closed
+diagram's one final tally as its bracket.  `bracket_pair` keeps a 2-string
+tangle's four endpoint darts in the frontier to the end and reads each
+final matching as the tangle [0] or [inf] the endpoints are joined into:
+the tangle's bracket is the pair (f, g) over those two, from which
+`closure_determinants` reads the determinants of its three closures.
+
+Production runs only the contraction; `bracket_state_sum` is its oracle
+in the tests.  Each fingerprint, and each tangle pair, is cross-checked
+instead against `goeritz_determinant`, an
 exact integer determinant of the diagram's Goeritz matrix (Goeritz 1933;
 Gordon & Litherland 1978), which must equal |<D>| at A = e^{i pi/4}
 (`determinant`).  The check is polynomial and independent of the
@@ -203,9 +210,14 @@ _PARTNER = ((1, 0, 3, 2), (3, 2, 1, 0))  # slot joined to each slot: A, B
 
 
 def _crossing_order(d: TangleDiagram) -> list[int]:
-    """Crossings in BFS order along arcs, one connected piece after another."""
+    """Crossings in BFS order along arcs, one connected piece after another.
+
+    The endpoint darts of a 2-string tangle, 4n to 4n + 3, form one node,
+    n, that is never contracted: its arcs are never followed.
+    """
     order: list[int] = []
-    seen = bytearray(d.n)
+    seen = bytearray(d.n + 1)
+    seen[d.n] = 1
     for root in range(d.n):
         if seen[root]:
             continue
@@ -309,8 +321,8 @@ def _smooth(match: tuple[int, ...], step, kind: int) -> tuple[tuple[int, ...], i
     return tuple(new), closed
 
 
-def bracket_skein(d: TangleDiagram) -> LaurentPoly:
-    """<D> by contracting the diagram one crossing at a time.
+def _contract(d: TangleDiagram) -> tuple[dict, list[int]]:
+    """The state sum of d by contracting it one crossing at a time.
 
     Crossings are added in `_crossing_order`.  After each one, the partial
     state sum over the contracted crossings is a map (frontier matching,
@@ -320,15 +332,18 @@ def bracket_skein(d: TangleDiagram) -> LaurentPoly:
     count contribute identically to the rest of the sum, because how the
     remaining crossings' smoothings close loops depends only on which
     frontier darts the contracted part joins.  So each map entry stands
-    for all its states, the map grows with the number of matchings of the
-    frontier (times exponents and loop counts) rather than with 2^n, and
-    at the end, with the frontier empty, its tally becomes one polynomial.
+    for all its states, and the map grows with the number of matchings of
+    the frontier (times exponents and loop counts) rather than with 2^n.
+
+    Returns the final map, {matching: {(e, loops): count}}, and the final
+    frontier: empty for a closed diagram, and for a 2-string tangle the
+    darts whose arcs reach an endpoint, which is never contracted.  Free
+    loops are not counted.
     """
-    _require_closed(d)
     _check_budget(d)
     states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
     frontier: list[int] = []
-    done = bytearray(d.n)
+    done = bytearray(d.n + 1)
     for c in _crossing_order(d):
         step, frontier = _plan(d.alpha, frontier, c, done)
         done[c] = 1
@@ -341,9 +356,64 @@ def bracket_skein(d: TangleDiagram) -> LaurentPoly:
                     key = (e + de, loops + closed)
                     acc[key] = acc.get(key, 0) + count
         states = nxt
+    return states, frontier
+
+
+def bracket_skein(d: TangleDiagram) -> LaurentPoly:
+    """<D> by `_contract`: with the frontier empty at the end, its one
+    tally, free loops added, becomes one polynomial."""
+    _require_closed(d)
+    states, _ = _contract(d)
     free = len(d.free_loops)
     return _histogram_poly(
         {(e, loops + free): count for (e, loops), count in states[()].items()}
+    )
+
+
+def bracket_pair(d: TangleDiagram) -> tuple[LaurentPoly, LaurentPoly]:
+    """The bracket of a 2-string tangle as the pair (f, g), <T> = f<[0]> + g<[inf]>.
+
+    [0] joins endpoints (0,1) and (2,3), [inf] joins (1,2) and (3,0), and
+    f and g sum A^e delta^loops over the states that join the endpoints
+    so (Goldman & Kauffman, "Rational tangles", 1997).  `_contract` keeps
+    the endpoint darts in the frontier to the end; each final matching,
+    with the arcs of crossing-free strings that join two endpoints
+    directly, pairs the four endpoints one of the two ways.
+    """
+    if d.k != 4:
+        raise TangleError("bracket pair needs a 2-string tangle")
+    states, frontier = _contract(d)
+    n4 = 4 * d.n
+    first = d.alpha[n4]  # where the arc from endpoint 0 goes
+    free = len(d.free_loops)
+    hists: tuple[dict, dict] = ({}, {})
+    for match, tally in states.items():
+        mate = first if first >= n4 else d.alpha[frontier[match[frontier.index(first)]]]
+        if mate not in (n4 + 1, n4 + 3):
+            raise TangleError("the strings join opposite endpoints; the map is not planar")
+        hist = hists[mate == n4 + 3]
+        for (e, loops), count in tally.items():
+            key = (e, loops + free + 1)  # _histogram_poly reads delta^(loops - 1)
+            hist[key] = hist.get(key, 0) + count
+    return _histogram_poly(hists[0]), _histogram_poly(hists[1])
+
+
+def closure_determinants(f: LaurentPoly, g: LaurentPoly) -> tuple[int, int, int]:
+    """det of N(T + F) for the fillers F = 0/1, 1/0, 1/1 of `close_with`,
+    from T's `bracket_pair` (f, g).
+
+    The 0/1 filler closes [0] into two loops and [inf] into one, and 1/0
+    the other way round, so <N(T + 0/1)> = delta f + g and
+    <N(T + 1/0)> = f + delta g.  The crossing of the 1/1 filler smooths
+    to the 0/1 filler on its A side, so <N(T + 1/1)> = A <N(T + 0/1)> +
+    A^-1 <N(T + 1/0)>.  delta vanishes at A = e^{i pi/4}, where the three
+    brackets are g, f and A g + A^-1 f.
+    """
+    g_terms, f_terms = g.key(), f.key()
+    return (
+        _det_at_zeta8(g_terms),
+        _det_at_zeta8(f_terms),
+        _det_at_zeta8([(e + 1, c) for e, c in g_terms] + [(e - 1, c) for e, c in f_terms]),
     )
 
 
@@ -399,16 +469,22 @@ def linking_matrix(d: TangleDiagram) -> dict[tuple[str, str], int]:
 
 
 def determinant(fp: tuple) -> int:
-    """det of the link with fingerprint fp: |<L>| at A = e^{i pi/4}.
+    """det of the link with fingerprint fp, from its first normalized bracket."""
+    return _det_at_zeta8(fp[1][0])
 
-    The first normalized bracket is evaluated exactly in Z[zeta8] as four
-    integer coordinates over 1, zeta8, zeta8^2, zeta8^3 (zeta8^4 = -1).
-    Every exponent of a link's bracket has one residue mod 4, so the value
-    is a unit times det and at most one coordinate is non-zero; two or
-    more mean a corrupt fingerprint, and TangleError is raised.
+
+def _det_at_zeta8(terms) -> int:
+    """|<L>| at A = e^{i pi/4}, from the (exponent, coefficient) terms of a
+    link's bracket or of a unit multiple of it: det(L).
+
+    The value is computed exactly in Z[zeta8] as four integer coordinates
+    over 1, zeta8, zeta8^2, zeta8^3 (zeta8^4 = -1).  Every exponent of a
+    link's bracket has one residue mod 4, so the value is a unit times
+    det and at most one coordinate is non-zero; two or more mean a
+    corrupt bracket, and TangleError is raised.
     """
     coords = [0, 0, 0, 0]
-    for e, c in fp[1][0]:
+    for e, c in terms:
         coords[e % 4] += c if e % 8 < 4 else -c
     nonzero = [x for x in coords if x]
     if len(nonzero) > 1:
@@ -526,14 +602,24 @@ def fingerprint(d: TangleDiagram, det: int | None = None) -> tuple:
             w = self_w + sum(
                 s if (i in flipped) == (j in flipped) else -s for (i, j), s in pairs.items()
             )
-            # br * (-A^3)^{-w}: shift every exponent by -3w, negate for odd w
-            polys.add(tuple((e - 3 * w, -c if w & 1 else c) for e, c in br.key()))
+            polys.add(_normalized(br, w))
     fp = (m, tuple(sorted(polys)))
     if det is None:
         det = goeritz_determinant(d)
-    got = determinant(fp)
+    _check_det(determinant(fp), det)
+    return fp
+
+
+def _normalized(br: LaurentPoly, w: int) -> tuple:
+    """The terms of br * (-A^3)^{-w}: every exponent shifted by -3w, every
+    coefficient negated for odd w."""
+    return tuple((e - 3 * w, -c if w & 1 else c) for e, c in br.key())
+
+
+def _check_det(got: int, det: int) -> None:
+    """Raise TangleError unless a bracket's determinant, got, is the Goeritz
+    determinant det."""
     if got != det:
         raise TangleError(
             f"bracket determinant {got} differs from the Goeritz determinant {det}; diagram corrupt"
         )
-    return fp

@@ -130,8 +130,6 @@ class TwoBridgeLink(Record):
 
     @property
     def components(self) -> int:
-        if self.p == 0:
-            return 2
         return 2 if self.p % 2 == 0 else 1
 
     @property

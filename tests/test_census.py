@@ -359,6 +359,20 @@ class TestShadowVerdict:
         with pytest.raises(TangleError):
             _shadow_split(alpha, 1)
 
+    def test_string_meeting_the_others_once_is_weak(self):
+        # one of the 12 three-crossing shadows where a string meets the
+        # others exactly once and each other string meets the rest at least
+        # twice, so only the bound's "exactly once" case settles it
+        alpha = (12, 13, 14, 9, 15, 16, 11, 10, 17, 3, 7, 6, 0, 1, 2, 4, 5, 8)
+        assert alpha in set(_shadow_search(3, 6, None))
+        shadow = census._shadow(alpha, 3)
+        meets = Counter(
+            i for under, over in shadow.crossing_strands if under != over for i in (under, over)
+        )
+        assert sorted(meets.values()) == [1, 2, 3]
+        assert _shadow_split(alpha, 3)
+        assert _has_weak_string(shadow)
+
     def test_level_matches_per_variant_tally(self):
         # oracle: the full classify on every diagram, no per-shadow shortcut
         for n in range(4):

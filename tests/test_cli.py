@@ -226,6 +226,41 @@ class TestBudget:
         assert main(["identify", "--pd", str(pd)]) == 3
 
 
+# CI's `identify` steps: (fixture, TANGLEKIT_BUDGET); with no budget set,
+# stdout must equal tests/fixtures/<fixture>_identify.json byte for byte
+IDENTIFY_GOLDENS = (
+    ("figure_eight", None),
+    ("closure_7_3_inflated", None),
+    ("closure_m7_3_inflated", None),
+    ("closure_13_5_inflated", None),
+    ("torus14", None),
+    ("torus14", "13"),
+)
+
+
+class TestIdentifyGoldens:
+    def test_replayed_in_process_both_ways(self, monkeypatch, capsysbinary):
+        """CI's identify goldens, run through `main` from cold caches in
+        order and then reversed, so that what an earlier query left in
+        the per-determinant table caches cannot change an answer."""
+        from tanglekit.diagram import identify
+
+        identify._class_table.cache_clear()
+        identify._fingerprint_table.cache_clear()
+        for name, budget in IDENTIFY_GOLDENS + IDENTIFY_GOLDENS[::-1]:
+            if budget is None:
+                monkeypatch.delenv("TANGLEKIT_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("TANGLEKIT_BUDGET", budget)
+            code = main(["identify", "--pd", f"tests/fixtures/{name}.pd"])
+            out, err = capsysbinary.readouterr()
+            if budget is None:
+                with open(f"tests/fixtures/{name}_identify.json", "rb") as fh:
+                    assert (name, code, out, err) == (name, 0, fh.read(), b"")
+            else:
+                assert (name, code, out, err.count(b"\n")) == (name, 3, b"", 1)
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",

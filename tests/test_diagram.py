@@ -44,7 +44,7 @@ from tanglekit.diagram import identify, invariants
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
 from tanglekit.diagram.core import compact, connect, pairing
 from tanglekit.diagram.identify import LinkId, determinant
-from tanglekit.diagram.invariants import _histogram_poly
+from tanglekit.diagram.invariants import _histogram_poly, bracket_pair, closure_determinants
 from tanglekit.errors import BudgetExceeded, TangleError
 from tanglekit.experiments import build_standard
 from tanglekit.rational import TangleFraction, numerator_closure, reduce
@@ -1026,6 +1026,116 @@ class TestRecoverFractionOracle:
         rng = random.Random(2026)
         for _ in range(300):
             self._agree(random_diagram(rng, rng.randint(0, 8), k=4))
+
+
+def _closure_brackets(f, g):
+    """<N(T + F)> for F = 0/1, 1/0, 1/1 from T's bracket pair, by the skein
+    relations `closure_determinants` states: delta f + g, f + delta g, and
+    A times the first plus A^-1 times the second."""
+    zero_closure = LOOP_FACTOR * f + g
+    inf_closure = f + LOOP_FACTOR * g
+    return zero_closure, inf_closure, monomial(1) * zero_closure + monomial(-1) * inf_closure
+
+
+_GRID_CERTIFICATES = {}
+
+
+def _grid_certificate_match(d, dets):
+    """The (p, q) of the grid reference whose pair certificate d has, or None."""
+    if not _GRID_CERTIFICATES:
+        for p, q in _GRID:
+            _GRID_CERTIFICATES[identify._closure_fingerprints(p, q)] = (p, q)
+    return _GRID_CERTIFICATES.get(identify._certificate(d, dets))
+
+
+class TestBracketPair:
+    """The tangle's bracket pair against the closures it replaces: their
+    brackets by both implementations, and their fingerprints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10))
+    @example(1, 10)
+    def test_pair_matches_closures(self, seed, n):
+        t = random_diagram(random.Random(seed), n, k=4)
+        f, g = bracket_pair(t)
+        closures = [close_with(t, filler) for filler in _PROBE_FILLERS]
+        brackets = _closure_brackets(f, g)
+        assert brackets == tuple(bracket_skein(c) for c in closures)
+        if n <= 8:
+            assert brackets == tuple(bracket_state_sum(c) for c in closures)
+        dets = tuple(goeritz_determinant(c) for c in closures)
+        assert closure_determinants(f, g) == dets
+        match = _grid_certificate_match(t, dets)
+        if match is not None:
+            reference = rational_tangle_diagram(TangleFraction(*match))
+            assert _grid_probes(t) == _grid_probes(reference)
+
+    def test_crossing_free_tangles(self):
+        f, g = bracket_pair(zero_tangle())
+        assert (f, g) == (one(), zero())
+        f, g = bracket_pair(infinity_tangle())
+        assert (f, g) == (zero(), one())
+
+    def test_free_loop_is_a_factor_delta(self):
+        d = rational_tangle_diagram(reduce(3, 2))
+        looped = TangleDiagram(d.n, d.k, d.alpha, d.strings, d.loops, ("o",))
+        assert bracket_pair(looped) == tuple(LOOP_FACTOR * x for x in bracket_pair(d))
+
+    def test_pair_needs_a_two_string_tangle(self):
+        with pytest.raises(TangleError, match="2-string tangle"):
+            bracket_pair(trivial_tangle())
+        with pytest.raises(TangleError, match="2-string tangle"):
+            bracket_pair(close_numerator(zero_tangle()))
+
+    def test_pair_refuses_strings_joining_opposite_endpoints(self):
+        # crossing-free strings 0-2 and 1-3, built without validate: no
+        # planar map joins them so, and neither [0] nor [inf] fits
+        d = TangleDiagram(0, 4, (2, 3, 0, 1), (("a", 0), ("b", 1)))
+        with pytest.raises(TangleError, match="not planar"):
+            bracket_pair(d)
+
+    def test_pair_budget(self, monkeypatch):
+        monkeypatch.setenv("TANGLEKIT_BUDGET", "4")
+        with pytest.raises(BudgetExceeded):
+            bracket_pair(rational_tangle_diagram(reduce(5, 1)))
+
+    def test_recover_contracts_one_pair_and_no_closure(self, monkeypatch):
+        identify._closure_fingerprints.cache_clear()
+        pairs = []
+        real = identify.bracket_pair
+
+        def counting(d):
+            pairs.append(d)
+            return real(d)
+
+        monkeypatch.setattr(identify, "bracket_pair", counting)
+        monkeypatch.setattr(identify, "fingerprint", None)  # never reached
+        monkeypatch.setattr(invariants, "bracket_skein", None)
+        d = _inflate(random.Random(3), rational_tangle_diagram(reduce(-7, 3)), 3, 12)
+        assert recover_fraction(d) == reduce(-7, 3)
+        assert len(pairs) == 2  # the query and, once, its reference
+        assert recover_fraction(d) == reduce(-7, 3)
+        assert len(pairs) == 3
+        with pytest.raises(TangleError):
+            recover_fraction(rational_tangle_diagram(reduce(13, 5)))
+        assert len(pairs) == 3
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_corrupt_pair_refused(self, monkeypatch, part):
+        """Negating one term of f or of g moves a closure determinant off
+        the Goeritz determinant, and recovery refuses the pair."""
+        real = identify.bracket_pair
+
+        def corrupted(d):
+            pair = list(real(d))
+            pair[part] = _corrupt_top_term(pair[part], lambda e, c: (e, -c))
+            return tuple(pair)
+
+        identify._closure_fingerprints.cache_clear()
+        monkeypatch.setattr(identify, "bracket_pair", corrupted)
+        with pytest.raises(TangleError, match="differs from the Goeritz determinant"):
+            recover_fraction(rational_tangle_diagram(reduce(7, 3)))
+        identify._closure_fingerprints.cache_clear()
 
 
 # One closed component L, linked through s12 only.

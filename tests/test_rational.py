@@ -89,6 +89,8 @@ class TestTwoBridge:
     def test_components(self):
         assert numerator_closure(reduce(4, 1)).components == 2
         assert numerator_closure(reduce(5, 2)).components == 1
+        assert numerator_closure(TangleFraction(1, 0)).components == 1  # the unknot
+        assert numerator_closure(TangleFraction(0, 1)).components == 2  # the unlink
 
     def test_torus_reporting(self):
         assert numerator_closure(reduce(4, 1)).torus_parameter() == 4
