@@ -19,8 +19,9 @@ disjunction: split, else parallel strands, else reducible under free
 isotopy, else unresolved.  Both strand detectors only ever report verdicts
 that are certified combinatorially (a sufficient criterion), so
 incompleteness surfaces as unresolved entries, never as false positives.
-A level is classified shadow by shadow: the weak-string test, run on a
-flat map from each dart to its strand, does not see over/under, so one
+A level is classified shadow by shadow: the weak-string test, run on the
+strand walk's flat map from each dart to its strand (`strand_walk`, the
+one walk `TangleDiagram` traces with), does not see over/under, so one
 test settles all 2^n variants of most shadows; only the rest become
 diagrams and are classified variant by variant.
 """
@@ -31,7 +32,7 @@ import random
 from itertools import count
 
 from ._record import Record
-from .diagram.core import TangleDiagram, switch_crossings
+from .diagram.core import TangleDiagram, strand_walk, switch_crossings
 from .diagram.pdcode import emit_pd
 from .diagram.rewrite import simplify
 from .errors import BudgetExceeded, TangleError
@@ -342,56 +343,23 @@ _LABELS = ("a", "b", "c", "d", "e", "f")
 def _strings_of(alpha: tuple[int, ...], n: int, k: int) -> tuple:
     """(label, first endpoint) of each string, labelled in endpoint order.
 
-    Each string is walked to its far endpoint over alpha; closed loops are
-    not looked at (`components` rejects a diagram that has one).
+    The strand walk from every endpoint in order skips an endpoint an
+    earlier string ended at, so each string is walked from its first
+    endpoint; closed loops are not looked at (`components` rejects a
+    diagram that has one).
     """
     base = 4 * n
-    strings = []
-    for j in range(k):
-        d = base + j
-        while (t := alpha[d]) < base:
-            d = t ^ 2
-        if t - base > j:
-            strings.append((_LABELS[len(strings)], j))
-    return tuple(strings)
-
-
-def _strand_map(alpha: tuple[int, ...], n: int, k: int) -> list[int] | None:
-    """Strand index of every dart, strands numbered by first endpoint.
-
-    Walks each string from its endpoint over alpha (the transit at a
-    crossing is `d ^ 2`).  None when some dart lies on a closed loop.
-    """
-    base = 4 * n
-    owner = [-1] * (base + k)
-    s = 0
-    for e in range(base, base + k):
-        if owner[e] >= 0:
-            continue
-        d = e
-        while True:
-            owner[d] = s
-            t = alpha[d]
-            owner[t] = s
-            if t >= base:
-                break
-            d = t ^ 2
-        s += 1
-    return None if -1 in owner else owner
+    _, out, cuts = strand_walk(alpha, base, range(base, base + k))
+    return tuple((_LABELS[i], out[c] - base) for i, c in enumerate(cuts[:-1]))
 
 
 def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
-    """The weak-string test on a shadow's strand map (see classify_level)."""
-    owner = _strand_map(alpha, n, 6)
-    if owner is None:
+    """The weak-string test on a shadow's strand walk (see classify_level)."""
+    base = 4 * n
+    owner, out, _ = strand_walk(alpha, base, range(base, base + 6))
+    if 2 * len(out) != len(alpha):  # an arc no string walked lies on a loop
         raise TangleError("shadow has a closed loop")
-    meets = [0, 0, 0]
-    for c in range(0, 4 * n, 4):
-        under, over = owner[c], owner[c + 1]
-        if under != over:
-            meets[under] += 1
-            meets[over] += 1
-    return any(m <= 1 for m in meets)
+    return _weak_in(owner, n, 3, 3)
 
 
 def _variant(alpha: tuple[int, ...], n: int, bits: int) -> tuple[int, ...]:
@@ -515,13 +483,14 @@ def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400
 
     Fast path: restartable random walks; fallback: randomized backtracking
     with restarts, which always succeeds when any diagram exists.  Needs
-    n >= 0 and an even k >= 2: a closed (k = 0) draw has no boundary face
-    to start from, and an odd k leaves an endpoint unmatched.
+    n >= 0 and an even k from 2 to 12: a closed (k = 0) draw has no
+    boundary face to start from, an odd k leaves an endpoint unmatched,
+    and the strings are labelled "a" to "f".
     """
     if n < 0:
         raise TangleError(f"random_diagram needs n >= 0 crossings, got {n}")
-    if k < 2 or k % 2:
-        raise TangleError(f"random_diagram needs an even k >= 2 endpoints, got {k}")
+    if k < 2 or k % 2 or k > 2 * len(_LABELS):
+        raise TangleError(f"random_diagram needs an even k of 2 to 12 endpoints, got {k}")
 
     def finish(alpha: tuple[int, ...]) -> TangleDiagram | None:
         variant = _variant(alpha, n, rng.randrange(1 << n))
@@ -589,18 +558,29 @@ def random_diagram(rng: random.Random, n: int, k: int = 6, walk_tries: int = 400
 # -- classification ----------------------------------------------------------
 
 
-def _has_weak_string(d: TangleDiagram) -> bool:
-    """Some string crosses the union of the other two at most once.
+def _weak_in(owner: list[int], n: int, m: int, n_open: int) -> bool:
+    """Some open strand crosses the union of the others at most once.
 
-    By the one-crossing lemma this certifies splitness in any projection,
-    so it is a sound fast path before reduction too.
+    `owner` maps each dart to its strand, of m strands, the first n_open
+    of them open; a crossing's strands are those of its slot-0 and slot-1
+    darts.  By the one-crossing lemma such a string certifies splitness
+    in any projection, so it is a sound fast path before reduction too.
     """
-    counts = [0] * len(d.components)
-    for under, over in d.crossing_strands:
+    meets = [0] * m
+    for c in range(0, 4 * n, 4):
+        under, over = owner[c], owner[c + 1]
         if under != over:
-            counts[under] += 1
-            counts[over] += 1
-    return any(counts[i] <= 1 for i, comp in enumerate(d.components) if not comp.closed)
+            meets[under] += 1
+            meets[over] += 1
+    for i in range(n_open):
+        if meets[i] <= 1:
+            return True
+    return False
+
+
+def _has_weak_string(d: TangleDiagram) -> bool:
+    """`_weak_in` on the diagram's strands; its strings are the open ones."""
+    return _weak_in(d.component_of_dart, d.n, len(d.strings) + len(d.loops), len(d.strings))
 
 
 def _parallel_on_reduced(small: TangleDiagram) -> bool:
@@ -728,20 +708,21 @@ def classify_level(
 ) -> EnumerationReport:
     """Classify every n-crossing diagram, one weak-string test per shadow.
 
-    The test runs on the shadow's strand map (`_strand_map`: the strand
-    through each dart).  A crossing's strands are those of its slot-0 and
-    slot-1 darts; a string is weak when at most one crossing has it on one
-    side and another strand on the other.
+    The test is `_weak_in`, on the strand through each dart of the
+    shadow, as `strand_walk` finds it.  A crossing's strands are those of
+    its slot-0 and slot-1 darts; a string is weak when at most one
+    crossing has it on one side and another strand on the other.
 
     Lemma: that verdict is the same for all 2^n over/under variants of a
     shadow.  A variant turns some crossings a quarter turn, which swaps the
     strands in the under slots with those in the over slots but keeps the
     unordered pair of strands meeting there, so the per-string counts, and
-    the verdict, agree on every variant (and with `_has_weak_string` on
-    each).  A shadow with a weak string therefore adds 2^n split diagrams;
-    only the others become diagrams, whose variants go through `classify`
-    one by one.  A shadow with a closed loop raises TangleError, as
-    tracing its components would.
+    the verdict, agree on every variant (and with `_has_weak_string`, the
+    same `_weak_in` on each variant's diagram).  A shadow with a weak
+    string therefore adds 2^n split diagrams; only the others become
+    diagrams, whose variants go through `classify` one by one.  A shadow
+    with a closed loop raises TangleError, as tracing its components
+    would.
     """
     report = EnumerationReport(n)
     for alpha in _level_alphas(n, extended, shard):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..errors import TangleError
 from ..rational import TangleFraction, add_integral, add_vertical, reduce
-from .core import TangleDiagram, compact, connect, pairing
+from .core import TangleDiagram, compact, connect, pairing, strand_walk
 
 # Crossing type used for one positive twist, per twist direction.  True
 # means the strand arriving at the first (counterclockwise-earlier) port
@@ -88,13 +88,8 @@ def _twist_2tangle(
     alpha = pairing(d, abs(count))
     e0 = len(alpha) - 4  # dart of endpoint 0
     twist_pair(alpha, d.n, e0 + pa, e0 + pa + 1, count, positive_left_under)
-    strings = []
-    for j in range(4):
-        x = alpha[e0 + j]
-        while x < e0:
-            x = alpha[x ^ 2]  # through the crossing
-        if x - e0 > j:
-            strings.append(("uw"[len(strings)], j))
+    _, out, cuts = strand_walk(alpha, e0, range(e0, e0 + 4))
+    strings = [("uw"[i], out[c] - e0) for i, c in enumerate(cuts[:-1])]
     return compact(d, alpha, range(4), strings, d.free_loops)
 
 

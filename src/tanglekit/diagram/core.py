@@ -12,6 +12,15 @@ the circle), and gap j joins endpoint j to endpoint j+1.  Genus 0 is then
 the Euler identity V - E + F = 2 per connected component, counting the
 outer disk.
 
+Strands are traced by one walk, `strand_walk`, which fills a flat list
+from each dart to its strand and lists each strand's out-darts in
+traversal order.  A diagram walks its declared strings, then its loops,
+once (`_walk`, which checks on that list that every dart is covered and
+no strand is declared twice), and every strand fact reads the result:
+`components`, `component_of_dart`, `crossing_strands` and
+`orientation`.  `_trace_from` walks one strand, and the census and the
+twist builder walk bare dart lists with it too.
+
 Every edit runs on a flat list of darts.  `pairing` copies a diagram's
 `alpha`, with fresh crossings appended for an edit that adds some;
 `connect` and `join` re-pair darts, and their docstrings give the
@@ -28,6 +37,37 @@ from functools import cached_property
 
 from .._record import Record
 from ..errors import NonPlanarCode, TangleError
+
+
+def strand_walk(alpha, n4: int, starts) -> tuple[list[int], list[int], list[int]]:
+    """Walk the strand leaving along each dart of `starts`, in order.
+
+    A strand enters a crossing by one slot and leaves it by the opposite
+    one, `d ^ 2`; a walk stops at an endpoint dart (>= n4) or back at its
+    start.  A start that an earlier walk reached is skipped.  Returns
+    (owner, out, cuts): `owner[x]` is the walk through dart x, -1 where
+    none passed; `out` lists the out-darts, the dart at the start of each
+    arc, walk after walk in traversal order; walk i is
+    out[cuts[i]:cuts[i + 1]], and it closed exactly when the mate of its
+    last out-dart is a crossing dart.
+    """
+    owner = [-1] * len(alpha)
+    out: list[int] = []
+    add = out.append
+    cuts = [0]
+    s = 0
+    for start in starts:
+        if owner[start] < 0:
+            d = start
+            while True:
+                add(d)
+                t = alpha[d]
+                owner[d] = owner[t] = s
+                if t >= n4 or (d := t ^ 2) == start:
+                    break
+            cuts.append(len(out))
+            s += 1
+    return owner, out, cuts
 
 
 class Component(Record):
@@ -101,68 +141,65 @@ class TangleDiagram(Record):
 
         Returns (out-darts in order, closed?).
         """
-        alpha, n4 = self.alpha, 4 * self.n
-        out: list[int] = []
-        d = start
-        while True:
-            out.append(d)
-            nxt = alpha[d]
-            if nxt >= n4:
-                return tuple(out), False
-            d = nxt ^ 2  # the strand leaves by the opposite slot, s + 2 mod 4
-            if d == start:
-                return tuple(out), True
+        n4 = 4 * self.n
+        out = strand_walk(self.alpha, n4, (start,))[1]
+        return tuple(out), self.alpha[out[-1]] < n4
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[int], list[int]]:
+        """`strand_walk` from the declared starts, strings first; checked.
+
+        A string must end at an endpoint and a loop back at its anchor,
+        no start may lie on a strand declared before it, and every dart
+        must lie on a declared strand; TangleError otherwise.
+        """
+        n4, alpha, ns = 4 * self.n, self.alpha, len(self.strings)
+        starts = [n4 + ep for _, ep in self.strings] + [anchor for _, anchor in self.loops]
+        owner, out, cuts = strand_walk(alpha, n4, starts)
+        for i, start in enumerate(starts):
+            if i + 1 >= len(cuts) or out[cuts[i]] != start:
+                problem = "runs along a strand declared before it"
+            elif (alpha[out[cuts[i + 1] - 1]] < n4) != (i >= ns):
+                problem = "is not closed" if i >= ns else "traced to a closed loop"
+            else:
+                continue
+            label = (self.strings + self.loops)[i][0]
+            raise TangleError(f"{'loop' if i >= ns else 'string'} {label!r} {problem}")
+        if -1 in owner:
+            missing = [d for d, w in enumerate(owner) if w < 0]
+            raise TangleError(f"darts not covered by declared components: {missing}")
+        return owner, out, cuts
 
     @cached_property
     def components(self) -> tuple[Component, ...]:
-        comps: list[Component] = []
-        seen: set[int] = set()
-        for label, ep in self.strings:
-            darts, closed = self._trace_from(self.ep_dart(ep))
-            if closed:
-                raise TangleError(f"string {label!r} traced to a closed loop")
-            end_ep = self.alpha[darts[-1]] - 4 * self.n
-            comps.append(Component(label, False, darts, ep, end_ep))
-            seen.update(darts)
-            seen.update(self.alpha[d] for d in darts)
-        for label, anchor in self.loops:
-            darts, closed = self._trace_from(anchor)
-            if not closed:
-                raise TangleError(f"loop {label!r} is not closed")
-            comps.append(Component(label, True, darts))
-            seen.update(darts)
-            seen.update(self.alpha[d] for d in darts)
-        if len(seen) != self.num_darts:
-            missing = [d for d in range(self.num_darts) if d not in seen]
-            raise TangleError(f"darts not covered by declared components: {missing}")
-        for label in self.free_loops:
-            comps.append(Component(label, True, ()))
+        n4, alpha = 4 * self.n, self.alpha
+        _, out, cuts = self._walk
+        comps = []
+        for i, (label, ep) in enumerate(self.strings):
+            darts = tuple(out[cuts[i]:cuts[i + 1]])
+            comps.append(Component(label, False, darts, ep, alpha[darts[-1]] - n4))
+        for i, (label, _) in enumerate(self.loops, len(self.strings)):
+            comps.append(Component(label, True, tuple(out[cuts[i]:cuts[i + 1]])))
+        comps.extend(Component(label, True, ()) for label in self.free_loops)
         return tuple(comps)
 
-    @cached_property
-    def component_of_dart(self) -> dict[int, int]:
-        """Maps every dart to its component index (both darts of each arc)."""
-        owner: dict[int, int] = {}
-        for i, comp in enumerate(self.components):
-            for d in comp.out_darts:
-                owner[d] = i
-                owner[self.alpha[d]] = i
-        return owner
+    @property
+    def component_of_dart(self) -> list[int]:
+        """The component index of every dart (both darts of each arc)."""
+        return self._walk[0]
 
     @cached_property
     def crossing_strands(self) -> tuple[tuple[int, int], ...]:
         """(under, over) component index of each crossing."""
-        owner = self.component_of_dart
-        return tuple((owner[4 * c], owner[4 * c + 1]) for c in range(self.n))
+        owner, n4 = self._walk[0], 4 * self.n
+        return tuple(zip(owner[0:n4:4], owner[1:n4:4]))
 
     @cached_property
-    def orientation(self) -> dict[int, bool]:
-        """dart -> True when the component traversal leaves the node via it."""
-        out: dict[int, bool] = {}
-        for comp in self.components:
-            for d in comp.out_darts:
-                out[d] = True
-                out[self.alpha[d]] = False
+    def orientation(self) -> list[bool]:
+        """True at each dart the component traversal leaves its node by."""
+        out = [False] * self.num_darts
+        for d in self._walk[1]:
+            out[d] = True
         return out
 
     def label_of(self, dart: int) -> str:
@@ -215,8 +252,9 @@ class TangleDiagram(Record):
         return tuple(out)
 
     @cached_property
-    def face_of_dart(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
+    def face_of_dart(self) -> list[int]:
+        """The face of every dart, virtual gap darts included."""
+        owner = [0] * (self.num_darts + 2 * self.k)
         for i, face in enumerate(self.faces):
             for d in face:
                 owner[d] = i
@@ -270,7 +308,7 @@ class TangleDiagram(Record):
             raise NonPlanarCode(
                 f"rotation system has genus > 0: V-E+F = {euler}, expected {2 * comps}"
             )
-        _ = self.components  # coverage + open/closed sanity
+        _ = self._walk  # coverage + open/closed sanity
         return self
 
     # -- structural transforms ----------------------------------------------
@@ -370,7 +408,8 @@ def _reanchor(d: TangleDiagram, alive, strings, free_loops, new_loops=()):
     free = list(free_loops)
     loops = []
     for label, start in d.loops:
-        darts, _ = d._trace_from(start)
+        # the traversal starts at the old anchor, so a kept one needs no walk
+        darts = (start,) if alive(start) else d._trace_from(start)[0]
         anchor = next((x for x in darts if alive(x)), None)
         if anchor is not None:
             loops.append((label, anchor))

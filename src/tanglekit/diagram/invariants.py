@@ -542,10 +542,7 @@ def goeritz_determinant(d: TangleDiagram) -> int:
         return 0
     faces = d.faces
     alpha = d.alpha
-    face_of = [0] * (4 * n)
-    for f, face in enumerate(faces):
-        for x in face:
-            face_of[x] = f
+    face_of = d.face_of_dart
     colour = [-1] * len(faces)
     colour[0] = 0
     stack = [0]

@@ -284,7 +284,7 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
     """
     if d1 >= d.num_darts or d2 >= d.num_darts:
         raise TangleError("R2 push needs strand edges, not boundary gaps")
-    if d.face_of_dart.get(d1) != d.face_of_dart.get(d2):
+    if d.face_of_dart[d1] != d.face_of_dart[d2]:
         raise TangleError("R2 push needs two edges on a common face")
     if d1 == d2 or d.alpha[d1] == d2:
         raise TangleError("R2 push needs two distinct edges")

@@ -3,12 +3,20 @@
 `deletion_uniqueness_certificate` scans a box of fractions by brute force
 against both in cis deletion equations; the engine solves them in closed
 form (`experiments._solve_capped`).
+
+The strand oracles are the walks the engine had before `strand_walk`
+replaced them, verbatim: `strand_map`, the census's own walk over a
+shadow's alpha, and `components` with the maps read off it, the
+diagram's trace strand by strand with a `seen` set for coverage and dict
+dart maps.  The diagram's were methods of `TangleDiagram`, so `self` is
+the diagram.
 """
 
 from math import gcd
 
 from tanglekit._record import Record
-from tanglekit.errors import NoSolution
+from tanglekit.diagram.core import Component
+from tanglekit.errors import NoSolution, TangleError
 from tanglekit.rational import (
     TangleFraction,
     TwoBridgeLink,
@@ -70,3 +78,138 @@ def deletion_uniqueness_certificate(L: int, bound: int = 50) -> UniquenessCertif
                 continue
             found.append(t)
     return UniquenessCertificate(L, bound, checked, tuple(found))
+
+
+# -- strands -------------------------------------------------------------------
+
+
+def all_matchings(nd):
+    """Every perfect matching of nd darts, as alpha tuples."""
+    alpha = [-1] * nd
+
+    def rec():
+        if -1 not in alpha:
+            yield tuple(alpha)
+            return
+        d0 = alpha.index(-1)
+        for b in range(d0 + 1, nd):
+            if alpha[b] < 0:
+                alpha[d0], alpha[b] = b, d0
+                yield from rec()
+                alpha[d0] = alpha[b] = -1
+
+    return rec()
+
+
+def strand_map(alpha: tuple[int, ...], n: int, k: int) -> list[int] | None:
+    """Strand index of every dart, strands numbered by first endpoint.
+
+    Walks each string from its endpoint over alpha (the transit at a
+    crossing is `d ^ 2`).  None when some dart lies on a closed loop.
+    """
+    base = 4 * n
+    owner = [-1] * (base + k)
+    s = 0
+    for e in range(base, base + k):
+        if owner[e] >= 0:
+            continue
+        d = e
+        while True:
+            owner[d] = s
+            t = alpha[d]
+            owner[t] = s
+            if t >= base:
+                break
+            d = t ^ 2
+        s += 1
+    return None if -1 in owner else owner
+
+
+def trace_from(self, start: int) -> tuple[tuple[int, ...], bool]:
+    """Follow the strand leaving along dart `start`.
+
+    Returns (out-darts in order, closed?).
+    """
+    alpha, n4 = self.alpha, 4 * self.n
+    out: list[int] = []
+    d = start
+    while True:
+        out.append(d)
+        nxt = alpha[d]
+        if nxt >= n4:
+            return tuple(out), False
+        d = nxt ^ 2  # the strand leaves by the opposite slot, s + 2 mod 4
+        if d == start:
+            return tuple(out), True
+
+
+def components(self) -> tuple[Component, ...]:
+    comps: list[Component] = []
+    seen: set[int] = set()
+    for label, ep in self.strings:
+        darts, closed = trace_from(self, self.ep_dart(ep))
+        if closed:
+            raise TangleError(f"string {label!r} traced to a closed loop")
+        end_ep = self.alpha[darts[-1]] - 4 * self.n
+        comps.append(Component(label, False, darts, ep, end_ep))
+        seen.update(darts)
+        seen.update(self.alpha[d] for d in darts)
+    for label, anchor in self.loops:
+        darts, closed = trace_from(self, anchor)
+        if not closed:
+            raise TangleError(f"loop {label!r} is not closed")
+        comps.append(Component(label, True, darts))
+        seen.update(darts)
+        seen.update(self.alpha[d] for d in darts)
+    if len(seen) != self.num_darts:
+        missing = [d for d in range(self.num_darts) if d not in seen]
+        raise TangleError(f"darts not covered by declared components: {missing}")
+    for label in self.free_loops:
+        comps.append(Component(label, True, ()))
+    return tuple(comps)
+
+
+def component_of_dart(self) -> dict[int, int]:
+    """Maps every dart to its component index (both darts of each arc)."""
+    owner: dict[int, int] = {}
+    for i, comp in enumerate(components(self)):
+        for d in comp.out_darts:
+            owner[d] = i
+            owner[self.alpha[d]] = i
+    return owner
+
+
+def crossing_strands(self) -> tuple[tuple[int, int], ...]:
+    """(under, over) component index of each crossing."""
+    owner = component_of_dart(self)
+    return tuple((owner[4 * c], owner[4 * c + 1]) for c in range(self.n))
+
+
+def orientation(self) -> dict[int, bool]:
+    """dart -> True when the component traversal leaves the node via it."""
+    out: dict[int, bool] = {}
+    for comp in components(self):
+        for d in comp.out_darts:
+            out[d] = True
+            out[self.alpha[d]] = False
+    return out
+
+
+def face_of_dart(self) -> dict[int, int]:
+    owner: dict[int, int] = {}
+    for i, face in enumerate(self.faces):
+        for d in face:
+            owner[d] = i
+    return owner
+
+
+def strand_facts(self) -> tuple:
+    """The facts above, each dict map read out as a list over its darts."""
+    owner, orient, faces = component_of_dart(self), orientation(self), face_of_dart(self)
+    return (
+        components(self),
+        [owner[d] for d in range(self.num_darts)],
+        [orient[d] for d in range(self.num_darts)],
+        crossing_strands(self),
+        [faces[d] for d in range(len(faces))],
+    )

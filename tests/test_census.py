@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_matchings, trace_from
+from oracles import strand_map as _strand_map
 from tanglekit import census
 from tanglekit.census import (
     SHARD_DEPTH,
@@ -17,7 +19,6 @@ from tanglekit.census import (
     _over_under_variants,
     _shadow_search,
     _shadow_split,
-    _strand_map,
     _strings_of,
     classify,
     classify_level,
@@ -85,30 +86,12 @@ def _probe_strings_of(alpha, n, k):
     for j in range(k):
         if j in seen:
             continue
-        darts, closed = probe._trace_from(probe.ep_dart(j))
+        darts, closed = trace_from(probe, probe.ep_dart(j))
         if closed:
             return ()
         seen.update((j, alpha[darts[-1]] - 4 * n))
         strings.append(("abcdef"[len(strings)], j))
     return tuple(strings)
-
-
-def _all_matchings(nd):
-    """Every perfect matching of nd darts, as alpha tuples."""
-    alpha = [-1] * nd
-
-    def rec():
-        if -1 not in alpha:
-            yield tuple(alpha)
-            return
-        d0 = alpha.index(-1)
-        for b in range(d0 + 1, nd):
-            if alpha[b] < 0:
-                alpha[d0], alpha[b] = b, d0
-                yield from rec()
-                alpha[d0] = alpha[b] = -1
-
-    return rec()
 
 
 def _list_random_diagram(rng, n, k=6, walk_tries=400):
@@ -260,7 +243,7 @@ class TestGenerator:
         # endpoints paired with each other
         looped = 0
         for n in range(3):
-            for alpha in _all_matchings(4 * n + 6):
+            for alpha in all_matchings(4 * n + 6):
                 assert _strings_of(alpha, n, 6) == _probe_strings_of(alpha, n, 6)
                 looped += _strand_map(alpha, n, 6) is None
         assert looped > 0
@@ -300,6 +283,15 @@ class TestGenerator:
         """A closed or odd-k draw, or a negative n, is refused up front."""
         with pytest.raises(TangleError, match="^random_diagram needs [^\n]*$"):
             random_diagram(random.Random(0), n, k=k)
+
+    def test_random_diagram_labels_up_to_six_strings(self):
+        """k = 12 draws six strings, labelled "a" to "f"; k = 14 would need
+        a seventh label and is refused with the other bad shapes."""
+        d = random_diagram(random.Random(0), 1, k=12)
+        assert [label for label, _ in d.strings] == list("abcdef")
+        refusal = "^random_diagram needs an even k of 2 to 12 endpoints, got 14$"
+        with pytest.raises(TangleError, match=refusal):
+            random_diagram(random.Random(0), 1, k=14)
 
     def test_random_diagram_fallback_alone(self):
         rng = random.Random(7)

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import io
 import json
+import re
 import subprocess
 import sys
 
@@ -226,20 +228,124 @@ class TestBudget:
         assert main(["identify", "--pd", str(pd)]) == 3
 
 
-# CI's `identify` steps: (fixture, TANGLEKIT_BUDGET); with no budget set,
-# stdout must equal tests/fixtures/<fixture>_identify.json byte for byte
-IDENTIFY_GOLDENS = (
-    ("figure_eight", None),
-    ("closure_7_3_inflated", None),
-    ("closure_m7_3_inflated", None),
-    ("closure_13_5_inflated", None),
-    ("torus14", None),
-    ("torus14", "13"),
+FIX = "tests/fixtures/"
+# CI's trivial3.pd with its B line given twice, which `verify` refuses
+with open(FIX + "trivial3.pd") as _fh:
+    TWO_B = re.sub(r"(?m)^B .*$", r"\g<0>\n\g<0>", _fh.read())
+
+# Every `cmp` and exit-code step of CI, one row each: (argv, stdin,
+# TANGLEKIT_BUDGET, stdout, stderr, exit code).  stdin is None, the argv
+# whose stdout is piped in, or the text itself.  stdout and stderr are
+# each a fixture to equal byte for byte, "" for none, or 1 for a single
+# line.  A row whose argv holds "{file}" is checked on what the command
+# writes to that file instead of stdout, which CI sends to /dev/null.
+CI_GOLDENS = (
+    (["solve"], None, None, "solve_default.json", "", 0),
+    (["solve", "--config", "bench/data/framed.json"], None, None, "solve_framed.json", "", 0),
+    (
+        ["solve", "--config", FIX + "framing_edge.json"],
+        None, None, "solve_framing_edge.json", "", 0,
+    ),
+    (
+        ["deduce", "--facts", FIX + "facts_rational_solution.json"],
+        None, None, "deduce_rational_solution.json", "", 0,
+    ),
+    (
+        ["deduce", "--facts", FIX + "facts_rational_solution.json", "--trace", "{file}"],
+        None, None, "deduce_rational_solution_trace.txt", "", 0,
+    ),
+    (["pjh"], None, None, "pjh.pd", "", 0),
+    (["verify", "--in-trans"], ["pjh"], None, "pjh_verify_in_trans.json", "", 0),
+    (["verify", "--pd", FIX + "candidate_8x.pd"], None, None, "candidate_8x_verify.json", "", 0),
+    (
+        ["verify", "--in-trans", "--pd", FIX + "trivial3.pd"],
+        None, None, "trivial3_verify_in_trans.json", "", 1,
+    ),
+    (
+        ["verify", "--in-trans", "--pd", FIX + "loops_tangle.pd"],
+        None, None, "loops_tangle_verify_in_trans.json", "", 1,
+    ),
+    (["lk", "--pd", FIX + "pjh_xarc.pd"], None, None, "pjh_xarc_lk.json", "", 0),
+    (
+        ["reduce", "--free", "--pd", FIX + "candidate_9x.pd"],
+        None, None, "candidate_9x_reduce_free.pd", "candidate_9x_reduce_free.err", 0,
+    ),
+    (
+        ["reduce", "--pd", FIX + "closure_13_5_inflated.pd"],
+        None, None, "closure_13_5_inflated_reduce.pd", "closure_13_5_inflated_reduce.err", 0,
+    ),
+    (
+        ["reduce", "--pd", FIX + "loops_tangle.pd"],
+        None, None, "loops_tangle_reduce.pd", "loops_tangle_reduce.err", 0,
+    ),
+    (
+        ["reduce", "--free", "--pd", FIX + "loops_tangle.pd"],
+        None, None, "loops_tangle_reduce_free.pd", "loops_tangle_reduce_free.err", 0,
+    ),
+    (["identify", "--pd", FIX + "genus1.pd"], None, None, "", 1, 2),
+    (["verify", "--in-trans"], TWO_B, None, "", 1, 2),
+) + tuple(
+    (["identify", "--pd", f"{FIX}{name}.pd"], None, budget, out, err, code)
+    for name, budget, out, err, code in (
+        ("figure_eight", None, "figure_eight_identify.json", "", 0),
+        ("closure_7_3_inflated", None, "closure_7_3_inflated_identify.json", "", 0),
+        ("closure_m7_3_inflated", None, "closure_m7_3_inflated_identify.json", "", 0),
+        ("closure_13_5_inflated", None, "closure_13_5_inflated_identify.json", "", 0),
+        ("torus14", None, "torus14_identify.json", "", 0),
+        ("torus14", "13", "", 1, 3),
+    )
 )
 
 
+def _replay(row, tmp_path, monkeypatch, capsysbinary):
+    """Run one row through `main` and check it against the row's goldens."""
+    argv, stdin, budget, out_golden, err_golden, exit_code = row
+    if budget is None:
+        monkeypatch.delenv("TANGLEKIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TANGLEKIT_BUDGET", budget)
+    if isinstance(stdin, list):
+        assert main(stdin) == 0
+        stdin = capsysbinary.readouterr().out.decode()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    file = tmp_path / "written"
+    code = main([str(file) if a == "{file}" else a for a in argv])
+    out, err = capsysbinary.readouterr()
+    if "{file}" in argv:
+        out = file.read_bytes()
+    got = (argv, code, _seen(out, out_golden), _seen(err, err_golden))
+    assert got == (argv, exit_code, _golden(out_golden), _golden(err_golden))
+
+
+def _seen(got, golden):
+    """What a golden column checks of `got`: its bytes, or its line count."""
+    return got.count(b"\n") if golden == 1 else got
+
+
+def _golden(golden):
+    if golden == 1:
+        return 1
+    if not golden:
+        return b""
+    with open(FIX + golden, "rb") as fh:
+        return fh.read()
+
+
+class TestCIGoldens:
+    def test_replayed_in_process(self, tmp_path, monkeypatch, capsysbinary):
+        for row in CI_GOLDENS:
+            _replay(row, tmp_path, monkeypatch, capsysbinary)
+
+    def test_every_ci_golden_has_a_row(self):
+        """A fixture that a CI `cmp` step compares with has a row here."""
+        with open(".github/workflows/tests.yml") as fh:
+            named = set(re.findall(r"\bcmp\b.*\btests/fixtures/(\S+)", fh.read()))
+        rows = {golden for row in CI_GOLDENS for golden in row[3:5] if golden not in ("", 1)}
+        assert named and named <= rows, sorted(named - rows)
+
+
 class TestIdentifyGoldens:
-    def test_replayed_in_process_both_ways(self, monkeypatch, capsysbinary):
+    def test_replayed_in_process_both_ways(self, tmp_path, monkeypatch, capsysbinary):
         """CI's identify goldens, run through `main` from cold caches in
         order and then reversed, so that what an earlier query left in
         the per-determinant table caches cannot change an answer."""
@@ -247,18 +353,10 @@ class TestIdentifyGoldens:
 
         identify._class_table.cache_clear()
         identify._fingerprint_table.cache_clear()
-        for name, budget in IDENTIFY_GOLDENS + IDENTIFY_GOLDENS[::-1]:
-            if budget is None:
-                monkeypatch.delenv("TANGLEKIT_BUDGET", raising=False)
-            else:
-                monkeypatch.setenv("TANGLEKIT_BUDGET", budget)
-            code = main(["identify", "--pd", f"tests/fixtures/{name}.pd"])
-            out, err = capsysbinary.readouterr()
-            if budget is None:
-                with open(f"tests/fixtures/{name}_identify.json", "rb") as fh:
-                    assert (name, code, out, err) == (name, 0, fh.read(), b"")
-            else:
-                assert (name, code, out, err.count(b"\n")) == (name, 3, b"", 1)
+        rows = [row for row in CI_GOLDENS if row[0][0] == "identify" and row[5] != 2]
+        assert len(rows) == 6
+        for row in rows + rows[::-1]:
+            _replay(row, tmp_path, monkeypatch, capsysbinary)
 
 
 class TestBadInput:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from poly_helpers import monomial, one, power, zero
 from tanglekit._poly import LOOP_FACTOR, LaurentPoly
-from tanglekit.census import random_diagram
+from tanglekit.census import _has_weak_string, _shadow_split, _strings_of, random_diagram
 from tanglekit.diagram import (
     TangleDiagram,
     add_boundary_twists,
@@ -42,7 +43,7 @@ from tanglekit.diagram import (
 )
 from tanglekit.diagram import identify, invariants
 from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
-from tanglekit.diagram.core import compact, connect, pairing
+from tanglekit.diagram.core import compact, connect, pairing, strand_walk
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly, bracket_pair, closure_determinants
 from tanglekit.errors import BudgetExceeded, TangleError
@@ -926,6 +927,82 @@ class TestStrandFacts:
         _check_strand_facts(d)
         ends = sorted(e for c in d.components for e in (c.start_ep, c.end_ep))
         assert ends == list(range(d.k))
+
+
+def _strand_facts_match_old_walk(d):
+    """The strand facts of `d` against the walk they replaced: equal, or
+    both refused with one message."""
+    try:
+        want = oracles.strand_facts(d)
+    except TangleError as exc:
+        with pytest.raises(TangleError) as got:
+            d.components
+        assert str(got.value) == str(exc)
+        return False
+    facts = (d.components, d.component_of_dart, d.orientation, d.crossing_strands, d.face_of_dart)
+    assert facts == want
+    return True
+
+
+class TestStrandWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.sampled_from([2, 4, 6]))
+    def test_random_tangles_match_old_walk(self, seed, n, k):
+        assert _strand_facts_match_old_walk(random_diagram(random.Random(seed), n, k=k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 8),
+        st.sampled_from(["numerator", "denominator", "x_arcs"]),
+        st.integers(0, 3),
+        st.integers(0, 2),
+    )
+    def test_closures_with_loops_match_old_walk(self, seed, n, closure, moves, free):
+        d = _random_closed_diagram(seed, n, closure, moves, free)
+        assert _strand_facts_match_old_walk(d)
+
+    @pytest.mark.parametrize(
+        "n,k", [(n, k) for n in range(3) for k in (2, 4, 6) if 4 * n + k <= 12]
+    )
+    def test_every_small_matching_matches_old_walk(self, n, k):
+        """Every matching of n <= 2 crossings and k endpoints, declared
+        with the strings the census gives it: a matching with a closed
+        loop is refused for the darts the strings leave uncovered.  With
+        six endpoints, the census's shadow test refuses the same
+        matchings and otherwise agrees with `_has_weak_string`."""
+        refused = 0
+        for alpha in oracles.all_matchings(4 * n + k):
+            owner = strand_walk(alpha, 4 * n, range(4 * n, 4 * n + k))[0]
+            assert (None if -1 in owner else owner) == oracles.strand_map(alpha, n, k)
+            d = TangleDiagram(n, k, alpha, _strings_of(alpha, n, k))
+            matched = _strand_facts_match_old_walk(d)
+            refused += not matched
+            if k == 6 and matched:
+                assert _shadow_split(alpha, n) == _has_weak_string(d)
+            elif k == 6:
+                with pytest.raises(TangleError, match="^shadow has a closed loop$"):
+                    _shadow_split(alpha, n)
+        assert refused > 0 or n == 0
+
+    @pytest.mark.parametrize("dup", [1, 0])
+    def test_a_string_declared_twice_is_refused(self, dup):
+        """A start on a strand walked before it names no new component, so
+        the diagram is refused instead of counting that strand twice: at
+        the far end of string s12, or at its own first endpoint."""
+        strings = (("s12", 0), ("s23", 2), ("s31", 4), ("dup", dup))
+        d = TangleDiagram(0, 6, (1, 0, 3, 2, 5, 4), strings)
+        with pytest.raises(TangleError, match="^string 'dup' runs along a strand declared before"):
+            d.validate()
+
+    @pytest.mark.parametrize("anchor", [0, 5])
+    def test_a_loop_declared_twice_is_refused(self, anchor):
+        """A second anchor on loop u, either way round, is refused too."""
+        d = close_with(rational_tangle_diagram(TangleFraction(2, 1)), TangleFraction(0, 1))
+        assert d.loops == (("u", 0), ("w", 6)) and d.alpha[0] == 5
+        twice = TangleDiagram(d.n, d.k, d.alpha, d.strings, d.loops + (("again", anchor),))
+        with pytest.raises(TangleError, match="^loop 'again' runs along a strand declared before"):
+            twice.validate()
 
 
 class TestRecoverFraction:
