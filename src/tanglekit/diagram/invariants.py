@@ -24,6 +24,12 @@ final matching as the tangle [0] or [inf] the endpoints are joined into:
 the tangle's bracket is the pair (f, g) over those two, from which
 `closure_determinants` reads the determinants of its three closures.
 
+Every bracket is a plain tuple of its terms (`Terms`): the (exponent,
+coefficient) pairs of the Laurent polynomial in A, sorted by exponent,
+with no zero coefficient.  That is the form the fingerprint tables hash
+and the determinants read; no polynomial arithmetic runs in production,
+and the tests keep their own.
+
 Production runs only the contraction; `bracket_state_sum` is its oracle
 in the tests.  Each fingerprint, and each tangle pair, is cross-checked
 instead against `goeritz_determinant`, an
@@ -53,11 +59,12 @@ import os
 from itertools import combinations
 from math import comb
 
-from .._poly import LaurentPoly
 from ..errors import BudgetExceeded, TangleError, UsageError
 from .core import TangleDiagram
 
 DEFAULT_BUDGET = 14
+
+Terms = tuple[tuple[int, int], ...]
 
 
 def crossing_budget() -> int:
@@ -88,8 +95,9 @@ def _check_budget(d: TangleDiagram) -> None:
 # -- both brackets: histogram to polynomial ------------------------------------
 
 
-def _histogram_poly(hist: dict[tuple[int, int], int]) -> LaurentPoly:
-    """Sum count * A^e * delta^(loops - 1) over {(e, loops): count}.
+def _histogram_poly(hist: dict[tuple[int, int], int]) -> Terms:
+    """The terms of the sum of count * A^e * delta^(loops - 1) over
+    {(e, loops): count}.
 
     delta^m = (-A^2 - A^-2)^m = (-1)^m sum_j C(m, j) A^(4j - 2m).  The one
     state of the empty diagram has no loops and contributes A^0 = 1.
@@ -104,7 +112,7 @@ def _histogram_poly(hist: dict[tuple[int, int], int]) -> LaurentPoly:
         for j in range(m + 1):
             x = e + 4 * j - 2 * m
             out[x] = out.get(x, 0) + signed * comb(m, j)
-    return LaurentPoly(out)
+    return tuple(sorted((e, c) for e, c in out.items() if c))
 
 
 # -- state-sum bracket -------------------------------------------------------
@@ -124,7 +132,7 @@ def _relabel(alpha, partner, label: list[int], start: int, lab: int) -> int:
             return size
 
 
-def bracket_state_sum(d: TangleDiagram) -> LaurentPoly:
+def bracket_state_sum(d: TangleDiagram) -> Terms:
     """<D> via the full 2^n smoothing state sum; <unknot> = 1.
 
     Each state sets every crossing's smoothing partner (A joins slots 0-1
@@ -359,7 +367,7 @@ def _contract(d: TangleDiagram) -> tuple[dict, list[int]]:
     return states, frontier
 
 
-def bracket_skein(d: TangleDiagram) -> LaurentPoly:
+def bracket_skein(d: TangleDiagram) -> Terms:
     """<D> by `_contract`: with the frontier empty at the end, its one
     tally, free loops added, becomes one polynomial."""
     _require_closed(d)
@@ -370,7 +378,7 @@ def bracket_skein(d: TangleDiagram) -> LaurentPoly:
     )
 
 
-def bracket_pair(d: TangleDiagram) -> tuple[LaurentPoly, LaurentPoly]:
+def bracket_pair(d: TangleDiagram) -> tuple[Terms, Terms]:
     """The bracket of a 2-string tangle as the pair (f, g), <T> = f<[0]> + g<[inf]>.
 
     [0] joins endpoints (0,1) and (2,3), [inf] joins (1,2) and (3,0), and
@@ -398,7 +406,7 @@ def bracket_pair(d: TangleDiagram) -> tuple[LaurentPoly, LaurentPoly]:
     return _histogram_poly(hists[0]), _histogram_poly(hists[1])
 
 
-def closure_determinants(f: LaurentPoly, g: LaurentPoly) -> tuple[int, int, int]:
+def closure_determinants(f: Terms, g: Terms) -> tuple[int, int, int]:
     """det of N(T + F) for the fillers F = 0/1, 1/0, 1/1 of `close_with`,
     from T's `bracket_pair` (f, g).
 
@@ -409,11 +417,10 @@ def closure_determinants(f: LaurentPoly, g: LaurentPoly) -> tuple[int, int, int]
     A^-1 <N(T + 1/0)>.  delta vanishes at A = e^{i pi/4}, where the three
     brackets are g, f and A g + A^-1 f.
     """
-    g_terms, f_terms = g.key(), f.key()
     return (
-        _det_at_zeta8(g_terms),
-        _det_at_zeta8(f_terms),
-        _det_at_zeta8([(e + 1, c) for e, c in g_terms] + [(e - 1, c) for e, c in f_terms]),
+        _det_at_zeta8(g),
+        _det_at_zeta8(f),
+        _det_at_zeta8([(e + 1, c) for e, c in g] + [(e - 1, c) for e, c in f]),
     )
 
 
@@ -607,10 +614,10 @@ def fingerprint(d: TangleDiagram, det: int | None = None) -> tuple:
     return fp
 
 
-def _normalized(br: LaurentPoly, w: int) -> tuple:
+def _normalized(br: Terms, w: int) -> Terms:
     """The terms of br * (-A^3)^{-w}: every exponent shifted by -3w, every
     coefficient negated for odd w."""
-    return tuple((e - 3 * w, -c if w & 1 else c) for e, c in br.key())
+    return tuple((e - 3 * w, -c if w & 1 else c) for e, c in br)
 
 
 def _check_det(got: int, det: int) -> None:

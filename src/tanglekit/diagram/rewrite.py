@@ -258,11 +258,19 @@ def simplify(d: TangleDiagram, mode: str = "rel_boundary") -> TangleDiagram:
 # -- move appliers for the invariance suite -------------------------------------
 
 
+def _check_dart(d: TangleDiagram, name: str, dart: int) -> None:
+    if not 0 <= dart < d.num_darts:
+        raise TangleError(f"{name} must be a dart in 0..{d.num_darts - 1}, got {dart}")
+
+
 def apply_r1_add(d: TangleDiagram, out_dart: int, kind: int) -> TangleDiagram:
     """Insert a kink into the edge leaving along out_dart; kind in 0..3.
 
     Planar: the kink lies in a disk on the edge (see `core.connect`).
     """
+    _check_dart(d, "out_dart", out_dart)
+    if not 0 <= kind <= 3:
+        raise TangleError(f"kind must be in 0..3, got {kind}")
     alpha = pairing(d, 1)
     x = 4 * d.n  # the kink's crossing
     u = out_dart + 4 * (out_dart >= x)
@@ -282,8 +290,8 @@ def apply_r2_add(d: TangleDiagram, d1: int, d2: int, over_first: bool = True) ->
     d1's edge is threaded forwards, from d1 to alpha[d1], and d2's edge
     backwards, from alpha[d2] to d2; the other way round does not embed.
     """
-    if d1 >= d.num_darts or d2 >= d.num_darts:
-        raise TangleError("R2 push needs strand edges, not boundary gaps")
+    _check_dart(d, "d1", d1)
+    _check_dart(d, "d2", d2)
     if d.face_of_dart[d1] != d.face_of_dart[d2]:
         raise TangleError("R2 push needs two edges on a common face")
     if d1 == d2 or d.alpha[d1] == d2:

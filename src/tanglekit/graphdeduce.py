@@ -145,7 +145,7 @@ def _fire_g_bij(fb: FactBase):
         if not all(pm in fb for pm in pms):
             continue
         for f in EDGES:
-            if f in star or planar_minus(f) in fb:
+            if planar_minus(f) in fb:
                 continue
             cem = compressible_minus(f)
             if cem in fb:

@@ -10,12 +10,20 @@ shadow's alpha, and `components` with the maps read off it, the
 diagram's trace strand by strand with a `seen` set for coverage and dict
 dart maps.  The diagram's were methods of `TangleDiagram`, so `self` is
 the diagram.
+
+The census oracles came from `census`, verbatim: `naive_generate` tries
+every perfect matching of the darts and keeps the planar 3-string ones,
+one per canonical code, and `has_parallel_strands` runs
+`_parallel_on_reduced`, the parallel test as first written, on labels,
+`frozenset` arcs and label dicts, on the freely reduced diagram.
 """
 
 from math import gcd
 
 from tanglekit._record import Record
-from tanglekit.diagram.core import Component
+from tanglekit.census import _strings_of
+from tanglekit.diagram.core import Component, TangleDiagram
+from tanglekit.diagram.rewrite import simplify
 from tanglekit.errors import NoSolution, TangleError
 from tanglekit.rational import (
     TangleFraction,
@@ -213,3 +221,101 @@ def strand_facts(self) -> tuple:
         crossing_strands(self),
         [faces[d] for d in range(len(faces))],
     )
+
+
+# -- census ------------------------------------------------------------------
+
+
+def naive_generate(n: int):
+    """Independent oracle: exhaustive matching with post-hoc filtering.
+
+    No planarity pruning and no symmetry breaking; every perfect matching
+    of the darts is tried and validated afterwards.  Only usable for very
+    small n.
+    """
+    k = 6
+    nd = 4 * n + k
+    seen = set()
+
+    def rec(alpha: list[int]):
+        try:
+            d0 = alpha.index(-1)
+        except ValueError:
+            yield tuple(alpha)
+            return
+        for b in range(d0 + 1, nd):
+            if alpha[b] < 0:
+                alpha[d0] = b
+                alpha[b] = d0
+                yield from rec(alpha)
+                alpha[d0] = -1
+                alpha[b] = -1
+
+    for alpha in rec([-1] * nd):
+        strings = _strings_of(alpha, n, k)
+        if len(strings) != 3:
+            continue
+        d = TangleDiagram(n, k, alpha, strings)
+        try:
+            d.validate()
+        except TangleError:
+            continue
+        code = d.canonical_code()
+        if code in seen:
+            continue
+        seen.add(code)
+        yield d
+
+
+def _parallel_on_reduced(small: TangleDiagram) -> bool:
+    open_comps = [c for c in small.components if not c.closed]
+    if len(open_comps) < 2:
+        return False
+    touched = {i for pair in small.crossing_strands for i in pair}
+    crossing_free = [
+        comp.label
+        for i, comp in enumerate(small.components)
+        if not comp.closed and i not in touched
+    ]
+    if len(crossing_free) >= 2:
+        return True
+    nd = small.num_darts
+    total_edges = {
+        comp.label: len(comp.out_darts) for comp in open_comps
+    }
+    for face in small.faces:
+        gaps = [x for x in face if x >= nd]
+        if len(gaps) != 2:
+            continue
+        per_label: dict[str, int] = {}
+        edges_seen = set()
+        ok = True
+        for x in face:
+            if x >= nd:
+                continue
+            edge = frozenset((x, small.alpha[x]))
+            if edge in edges_seen:
+                ok = False
+                break
+            edges_seen.add(edge)
+            lab = small.label_of(x)
+            per_label[lab] = per_label.get(lab, 0) + 1
+        if not ok or len(per_label) != 2:
+            continue
+        if all(
+            lab in total_edges and cnt == total_edges[lab]
+            for lab, cnt in per_label.items()
+        ):
+            return True
+    return False
+
+
+def has_parallel_strands(d: TangleDiagram) -> bool:
+    """Sufficient parallel test on the freely reduced diagram.
+
+    Two strands are certified parallel when both are crossing-free (each is
+    then boundary-parallel and they cobound a band over the sphere), or
+    when they cobound a face meeting the boundary in exactly two gaps with
+    every edge of both strands on it.
+    """
+    return _parallel_on_reduced(simplify(d, "free"))

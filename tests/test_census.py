@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_matchings, trace_from
+from draws import _Gluing, random_diagram
+from oracles import _parallel_on_reduced as label_parallel_on_reduced
+from oracles import all_matchings, has_parallel_strands, naive_generate, trace_from
 from oracles import strand_map as _strand_map
 from tanglekit import census
 from tanglekit.census import (
     SHARD_DEPTH,
-    _Gluing,
     _has_weak_string,
     _over_under_variants,
     _shadow_search,
@@ -23,12 +24,9 @@ from tanglekit.census import (
     classify,
     classify_level,
     generate_diagrams,
-    has_parallel_strands,
-    naive_generate,
-    random_diagram,
     verify_theorem_4_4,
 )
-from tanglekit.diagram import TangleDiagram, simplify
+from tanglekit.diagram import TangleDiagram, parse_pd, simplify
 from tanglekit.diagram.rewrite import apply_r2_add
 from tanglekit.errors import BudgetExceeded, TangleError
 from tanglekit.experiments import build_standard
@@ -322,6 +320,33 @@ class TestDetectors:
         from tanglekit.diagram import trivial_tangle
 
         assert classify(trivial_tangle()) == "split"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.sampled_from((4, 6)))
+    def test_parallel_test_matches_label_oracle(self, seed, n, k):
+        """The parallel test on component indices agrees with the one on
+        labels it replaced, on draws and on their free reductions."""
+        d = random_diagram(random.Random(seed), n, k=k)
+        for small in (d, simplify(d, "free")):
+            assert census._parallel_on_reduced(small) == label_parallel_on_reduced(small)
+
+    def test_parallel_test_matches_label_oracle_up_to_two_crossings(self):
+        verdicts = Counter()
+        for n in range(3):
+            for d in generate_diagrams(n):
+                for small in (d, simplify(d, "free")):
+                    verdict = census._parallel_on_reduced(small)
+                    assert verdict == label_parallel_on_reduced(small)
+                    verdicts[verdict] += 1
+        assert verdicts == {True: 1750, False: 444}
+
+    @pytest.mark.parametrize("name", ["candidate_8x", "candidate_9x", "loops_tangle", "pjh", "trivial3"])
+    def test_parallel_test_matches_label_oracle_on_fixtures(self, name):
+        # loops_tangle has a closed component, which no draw has
+        with open(f"tests/fixtures/{name}.pd", encoding="utf-8") as fh:
+            d = parse_pd(fh.read())
+        for small in (d, simplify(d, "free")):
+            assert census._parallel_on_reduced(small) == label_parallel_on_reduced(small)
 
 
 class TestShadowVerdict:

@@ -24,7 +24,6 @@ DIAGRAM = {
 }
 IDENTIFY = {
     "tanglekit.rational",
-    "tanglekit._poly",
     "tanglekit.diagram.build",
     "tanglekit.diagram.identify",
     "tanglekit.diagram.invariants",
@@ -78,7 +77,7 @@ def bare_modules():
         ),
         (
             ["lk", "--pd", "tests/fixtures/pjh_xarc.pd"],
-            {"tanglekit.diagram.invariants", "tanglekit._poly"} | DIAGRAM,
+            {"tanglekit.diagram.invariants"} | DIAGRAM,
         ),
         (
             ["reduce", "--pd", "tests/fixtures/figure_eight.pd"],

@@ -2,7 +2,7 @@
 
 from math import gcd
 
-from tanglekit.census import random_diagram
+from draws import random_diagram
 from tanglekit.diagram import (
     close_numerator,
     fingerprint,

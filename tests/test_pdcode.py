@@ -41,7 +41,7 @@ class TestRoundTrip:
     def test_random_diagrams(self):
         import random
 
-        from tanglekit.census import random_diagram
+        from draws import random_diagram
 
         rng = random.Random(77)
         for _ in range(25):

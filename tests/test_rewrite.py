@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poly_helpers import monomial
-from tanglekit.census import random_diagram
+from draws import random_diagram
+from poly_helpers import LaurentPoly, monomial
 from tanglekit.diagram import (
     TangleDiagram,
     add_boundary_twists,
@@ -281,6 +281,39 @@ class TestPinnedOutputs:
         assert slides == 22
 
 
+class TestAdderArguments:
+    """The R1 kink and R2 push refuse a dart outside 0..num_darts-1, or a
+    kink kind outside 0..3, by a TangleError that names the argument."""
+
+    @staticmethod
+    def _trefoil_tangle():
+        d = rational_tangle_diagram(reduce(3, 1))
+        assert d.num_darts == 16
+        return d
+
+    @pytest.mark.parametrize(
+        "out_dart,kind,name", [(-1, 0, "out_dart"), (16, 0, "out_dart"), (0, 4, "kind"), (0, -1, "kind")]
+    )
+    def test_r1_add_refuses(self, out_dart, kind, name):
+        with pytest.raises(TangleError, match=f"^{name} must be "):
+            apply_r1_add(self._trefoil_tangle(), out_dart, kind)
+
+    @pytest.mark.parametrize(
+        "d1,d2,name", [(-1, -2, "d1"), (-1, 3, "d1"), (3, -2, "d2"), (16, 0, "d1"), (0, 17, "d2")]
+    )
+    def test_r2_add_refuses(self, d1, d2, name):
+        bad = d1 if name == "d1" else d2
+        with pytest.raises(TangleError, match=f"^{name} must be a dart in 0..15, got {bad}$"):
+            apply_r2_add(self._trefoil_tangle(), d1, d2)
+
+    def test_range_edges_accepted(self):
+        d = self._trefoil_tangle()
+        for out_dart, kind in ((0, 0), (15, 3)):
+            assert apply_r1_add(d, out_dart, kind).n == d.n + 1
+        d1, d2 = next((a, b) for a, b in r2_pushes(d) if 15 in (a, b))
+        assert apply_r2_add(d, d1, d2).n == d.n + 2
+
+
 class TestReduction:
     def test_r1_kink_removed(self):
         d = close_numerator(horizontal_twists(zero_tangle(), 1))
@@ -375,13 +408,13 @@ class TestBracketInvariance:
         checked = 0
         while checked < self.SAMPLES:
             d = _random_closed(rng, rng.randint(0, 7))
-            br = bracket_state_sum(d)
+            br = LaurentPoly(bracket_state_sum(d))
             dart = rng.randrange(d.num_darts) if d.num_darts else None
             if dart is None:
                 checked += 1
                 continue
             kinked = apply_r1_add(d, dart, rng.randrange(4))
-            br2 = bracket_state_sum(kinked)
+            br2 = LaurentPoly(bracket_state_sum(kinked))
             assert br2 in (R1_UP * br, R1_DOWN * br)
             checked += 1
 
