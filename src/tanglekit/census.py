@@ -325,25 +325,37 @@ def _parallel_on_reduced(small: TangleDiagram) -> bool:
     parallel when both are crossing-free (each is then boundary-parallel
     and they cobound a band over the sphere), or when they cobound a face
     that meets the boundary in exactly two gaps and runs along each of
-    their arcs exactly once.  With no arc twice on the face, its darts
-    are distinct arcs of their owners, so that holds when the face has as
-    many darts as its two strings have arcs.
+    their arcs exactly once.  That holds when such a face has darts of
+    exactly two owners and as many darts as those two have arcs, for two
+    reasons that need no test:
+
+    * No face runs along an arc twice.  A face that holds both darts of
+      an arc has it on both sides, so the arc is a bridge of its piece of
+      the map.  But the map has no bridge: the gaps join the endpoints in
+      a cycle, which no bridge cuts, so one side of a bridge holds
+      crossings only, each of degree 4, and their degrees would sum to
+      twice that side's arcs plus the bridge's one end, an odd number.
+      So the face's darts are distinct arcs of their owners.
+    * Both owners are strings.  The face outside the circle holds all k
+      gaps and no dart.  A face inside it follows a gap from endpoint j
+      toward j - 1 by the dart leaving j - 1, and enters that gap by the
+      dart arriving at j, so it has a dart of the string at each end of
+      each of its gaps.  Two gaps have at least three ends when k >= 3,
+      and three endpoints lie on at least two strings.  When k = 2, the
+      one string cuts the disk in two, so no face inside has both gaps.
     """
     ns = len(small.strings)
     touched = {i for pair in small.crossing_strands for i in pair}
     if sum(i not in touched for i in range(ns)) >= 2:
         return True
-    nd, alpha, owner = small.num_darts, small.alpha, small.component_of_dart
+    nd, owner = small.num_darts, small.component_of_dart
     arcs = [len(comp.out_darts) for comp in small.components[:ns]]
     for face in small.faces:
         darts = [x for x in face if x < nd]
         if len(face) - len(darts) != 2:
             continue
-        on = set(darts)
-        if any(alpha[x] in on for x in darts):
-            continue
         owners = {owner[x] for x in darts}
-        if len(owners) == 2 and max(owners) < ns and len(darts) == sum(arcs[i] for i in owners):
+        if len(owners) == 2 and len(darts) == sum(arcs[i] for i in owners):
             return True
     return False
 
@@ -401,9 +413,17 @@ class EnumerationReport(Record):
 
 
 def classify(d: TangleDiagram) -> str:
-    """First matching category: split, parallel, reducible, unresolved."""
-    if _has_weak_string(d):
-        return "split"
+    """First matching category: split, parallel, reducible, unresolved.
+
+    The weak-string test runs on the reduced diagram only.  Before
+    reduction it could not change the verdict: no move raises a string's
+    count of crossings with other strands (the move docstrings argue it,
+    `TestMovesKeepCrossingCounts` checks it), and every string survives
+    reduction with its endpoints, so a string weak in d is weak in
+    simplify(d, "free").  On the `classify_level` path it would never
+    fire anyway: a shadow with a weak string is counted split whole, so
+    no variant of it reaches `classify` (the lemma there).
+    """
     small = simplify(d, "free")
     if _has_weak_string(small):
         return "split"

@@ -182,9 +182,10 @@ def _cmd_deduce(args) -> int:
 
     with open(args.facts, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("facts", []), list):
+    facts = data.get("facts", []) if isinstance(data, dict) else None
+    if not isinstance(facts, list) or data.keys() - {"facts"}:
         raise UsageError('fact file must be a JSON object {"facts": [...]}')
-    fb = FactBase.from_atoms(data.get("facts", []))
+    fb = FactBase.from_atoms(facts)
     closed, trace = deduce(fb)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:

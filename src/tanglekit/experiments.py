@@ -40,15 +40,21 @@ from .rational import (
 
 if TYPE_CHECKING:
     from .diagram.core import TangleDiagram
-    from .diagram.identify import LinkId
+
+
+# The config's JSON layout: section -> JSON key -> ExperimentSystem field.
+_LAYOUT = {
+    "deletion": {"e": "L1", "attR": "L2", "attL": "L3"},
+    "inversion": {"e": "inv1", "attR": "inv2", "attL": "inv3"},
+    "in_trans": {"deletion": "Lt", "inversion": "inv_t"},
+    "framing": {"d1": "d1", "d2": "d2", "d3": "d3"},
+}
 
 
 class ExperimentSystem(Record):
     """Products and framing of the full experiment set (signed = handed)."""
 
-    __slots__ = _fields = (
-        "L1", "L2", "L3", "inv1", "inv2", "inv3", "Lt", "inv_t", "d1", "d2", "d3"
-    )
+    __slots__ = _fields = tuple(f for keys in _LAYOUT.values() for f in keys.values())
 
     def __init__(
         self,
@@ -71,44 +77,39 @@ class ExperimentSystem(Record):
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentSystem":
-        """Read an `as_dict`-shaped config; a wrong shape is a UsageError."""
+        """Read an `as_dict`-shaped config; a missing key keeps its default.
+
+        A wrong shape, a non-integer value, or a section or key that
+        `_LAYOUT` does not name is a UsageError, checked in that order.
+        """
         if not isinstance(data, dict):
             raise UsageError("experiment config must be a JSON object")
-        sections = []
-        for name in ("deletion", "inversion", "in_trans", "framing"):
-            sections.append(data.get(name, {}))
-            if not isinstance(sections[-1], dict):
+        for name in _LAYOUT:
+            if not isinstance(data.get(name, {}), dict):
                 raise UsageError(f"experiment config {name!r} must be a JSON object")
-        deletion, inversion, trans, framing = sections
-
-        def value(section: dict, name: str, key: str, default: int) -> int:
-            got = section.get(key, default)
-            if type(got) is not int:  # bool is an int subclass; floats truncate
-                raise UsageError(
-                    f"experiment config {name}.{key} must be an integer, got {got!r}"
-                )
-            return got
-
-        return cls(
-            L1=value(deletion, "deletion", "e", 4),
-            L2=value(deletion, "deletion", "attR", 4),
-            L3=value(deletion, "deletion", "attL", 4),
-            inv1=value(inversion, "inversion", "e", 3),
-            inv2=value(inversion, "inversion", "attR", 5),
-            inv3=value(inversion, "inversion", "attL", 3),
-            Lt=value(trans, "in_trans", "deletion", 2),
-            inv_t=value(trans, "in_trans", "inversion", 3),
-            d1=value(framing, "framing", "d1", 0),
-            d2=value(framing, "framing", "d2", 0),
-            d3=value(framing, "framing", "d3", 0),
-        )
+        values = {}
+        for name, keys in _LAYOUT.items():
+            given = data.get(name, {})
+            for key, field in keys.items():
+                if key not in given:
+                    continue
+                got = values[field] = given[key]
+                if type(got) is not int:  # bool is an int subclass; floats truncate
+                    raise UsageError(
+                        f"experiment config {name}.{key} must be an integer, got {got!r}"
+                    )
+        for name, given in data.items():
+            if name not in _LAYOUT:
+                raise UsageError(f"experiment config has no section {name!r}")
+            for key in given:
+                if key not in _LAYOUT[name]:
+                    raise UsageError(f"experiment config has no key {f'{name}.{key}'!r}")
+        return cls(**values)
 
     def as_dict(self) -> dict:
         return {
-            "deletion": {"e": self.L1, "attR": self.L2, "attL": self.L3},
-            "inversion": {"e": self.inv1, "attR": self.inv2, "attL": self.inv3},
-            "in_trans": {"deletion": self.Lt, "inversion": self.inv_t},
-            "framing": {"d1": self.d1, "d2": self.d2, "d3": self.d3},
+            name: {key: getattr(self, field) for key, field in keys.items()}
+            for name, keys in _LAYOUT.items()
         }
 
 
@@ -165,32 +166,27 @@ def _solve_capped(L: int, d: int) -> TangleFraction:
     return reduce(-1, L + d)
 
 
+def _named(equation: str, solve, *args):
+    """solve(*args), with a NoSolution's message led by the equation's name."""
+    try:
+        return solve(*args)
+    except NoSolution as e:
+        raise NoSolution(f"{equation}: {e}") from e
+
+
 def solve_system(sys: ExperimentSystem) -> SolutionReport:
     """Solve the full equation system; names the failing equation on error."""
-    os_ = []
-    for i, (L, d) in enumerate(
-        ((sys.L1, sys.d1), (sys.L2, sys.d2), (sys.L3, sys.d3)), start=1
-    ):
-        try:
-            os_.append(_solve_capped(L, d))
-        except NoSolution as e:
-            raise NoSolution(f"in cis deletion equation {i}: {e}") from e
-    vs = []
-    for i, (O, inv) in enumerate(
-        zip(os_, (sys.inv1, sys.inv2, sys.inv3)), start=1
-    ):
-        try:
-            vs.append(solve_inversion_v(O, inv))
-        except NoSolution as e:
-            raise NoSolution(f"in cis inversion equation {i}: {e}") from e
+    os_ = [
+        _named(f"in cis deletion equation {i}", _solve_capped, L, d)
+        for i, (L, d) in enumerate(((sys.L1, sys.d1), (sys.L2, sys.d2), (sys.L3, sys.d3)), 1)
+    ]
+    vs = [
+        _named(f"in cis inversion equation {i}", solve_inversion_v, O, inv)
+        for i, (O, inv) in enumerate(zip(os_, (sys.inv1, sys.inv2, sys.inv3)), 1)
+    ]
     frac, dts = solve_in_trans(sys.L1, sys.L2, sys.L3, sys.Lt)
-    try:
-        v_t = solve_inversion_v(frac, sys.inv_t)
-    except NoSolution as e:
-        raise NoSolution(f"in trans inversion equation: {e}") from e
-    return SolutionReport(
-        os_[0], os_[1], os_[2], frac, vs[0], vs[1], vs[2], frozenset(dts), v_t
-    )
+    v_t = _named("in trans inversion equation", solve_inversion_v, frac, sys.inv_t)
+    return SolutionReport(*os_, frac, *vs, frozenset(dts), v_t)
 
 
 def framing_convert(d1: int, d2: int, d3: int) -> tuple[int, int, int]:
@@ -277,18 +273,6 @@ class VerificationReport(Record):
         }
 
 
-def _check_closure(
-    name: str, diagram: TangleDiagram, filler: TangleFraction, expect: LinkId
-) -> EquationCheck:
-    from .diagram.identify import identify_link
-    from .diagram.surgery import close_with
-
-    observed = identify_link(close_with(diagram, filler))
-    if observed.kind == "unknown":
-        return EquationCheck(name, str(expect), str(observed), False, inconclusive=True)
-    return EquationCheck(name, str(expect), str(observed), observed == expect)
-
-
 def verify_solution_tangle(
     d: TangleDiagram, in_trans: bool = False, L: int = 4, Lt: int = 2
 ) -> VerificationReport:
@@ -297,13 +281,14 @@ def verify_solution_tangle(
     For each i the capped tangle must close to the unknot against 0/1 and
     to the right-handed (2,L) torus link against 1/0.  With in_trans also
     checks that removing the enhancer strand s23 leaves the -1/(Lt) pair.
-    Identification failures (fingerprint out of table) are reported as
-    inconclusive, not as refutations.  |L| < 2 or |Lt| < 2 is a
-    UsageError: (2,0) is the unlink and (2,+-1) the unknot, not a torus
+    Each tangle is cut out of d just before its two closures are
+    identified.  Identification failures (fingerprint out of table) are
+    reported as inconclusive, not as refutations.  |L| < 2 or |Lt| < 2 is
+    a UsageError: (2,0) is the unlink and (2,+-1) the unknot, not a torus
     link product, as `_solve_capped` rules.
     """
-    from .diagram.identify import LinkId
-    from .diagram.surgery import cap, remove_string
+    from .diagram.identify import LinkId, identify_link
+    from .diagram.surgery import cap, close_with, remove_string
 
     for name, value in (("L", L), ("Lt", Lt)):
         if abs(value) < 2:
@@ -312,33 +297,27 @@ def verify_solution_tangle(
             )
     if d.k != 6:
         raise TangleError("verify_solution_tangle needs a 3-string tangle")
-    report = VerificationReport()
-    unknot = LinkId("unknot")
-    torus = LinkId.from_two_bridge(torus_two_bridge(L))
-    for i in (1, 2, 3):
-        capped = cap(d, i)
-        report.checks.append(
-            _check_closure(f"N(O{i} + 0/1) = unknot", capped, TangleFraction(0, 1), unknot)
-        )
-        report.checks.append(
-            _check_closure(
-                f"N(O{i} + 1/0) = (2,{L}) torus", capped, TangleFraction(1, 0), torus
-            )
-        )
+    # (name, cut, where, product): the tangle cut(d, where) must close to
+    # the unknot against 0/1 and to the (2,product) torus link against 1/0
+    equations = [(f"O{i}", cap, i, L) for i in (1, 2, 3)]
     if in_trans:
-        tprime = remove_string(d, "s23")
-        hopf = LinkId.from_two_bridge(torus_two_bridge(Lt))
-        report.checks.append(
-            _check_closure(
-                "N((T - s23) + 0/1) = unknot", tprime, TangleFraction(0, 1), unknot
+        equations.append(("(T - s23)", remove_string, "s23", Lt))
+    report = VerificationReport()
+    for name, cut, where, product in equations:
+        tangle = cut(d, where)
+        torus = LinkId.from_two_bridge(torus_two_bridge(product))
+        for filler, expect, what in (
+            (TangleFraction(0, 1), LinkId("unknot"), "unknot"),
+            (TangleFraction(1, 0), torus, f"(2,{product}) torus"),
+        ):
+            observed = identify_link(close_with(tangle, filler))
+            report.checks.append(
+                EquationCheck(
+                    f"N({name} + {filler}) = {what}",
+                    str(expect),
+                    str(observed),
+                    observed == expect,
+                    inconclusive=observed.kind == "unknown",
+                )
             )
-        )
-        report.checks.append(
-            _check_closure(
-                f"N((T - s23) + 1/0) = (2,{Lt}) torus",
-                tprime,
-                TangleFraction(1, 0),
-                hopf,
-            )
-        )
     return report

@@ -90,17 +90,10 @@ def mirror(t: TangleFraction) -> TangleFraction:
     return reduce(-t.p, t.q)
 
 
-def _modinv(a: int, m: int) -> int:
-    a %= m
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} not invertible mod {m}")
-    return pow(a, -1, m)
-
-
 def _schubert_class(beta: int, p: int) -> tuple[int, ...]:
-    """Unoriented Schubert class {beta, beta^-1} mod p."""
+    """Unoriented Schubert class {beta, beta^-1} mod p, for gcd(beta, p) = 1."""
     b = beta % p
-    return tuple(sorted({b, _modinv(b, p)}))
+    return tuple(sorted({b, pow(b, -1, p)}))
 
 
 class TwoBridgeLink(Record):
@@ -141,13 +134,8 @@ class TwoBridgeLink(Record):
         return self.p == 0
 
     def mirrored(self) -> "TwoBridgeLink":
-        if self.p <= 1:
-            return self
-        cls = _schubert_class(self.qc, self.p)
-        mcls = _schubert_class(-self.qc, self.p)
-        if cls == mcls:
-            return self
-        return TwoBridgeLink(self.p, self.qc, -self.mirror)
+        """The mirror image b(p, -beta) of this link b(p, beta), beta = mirror * qc."""
+        return canonical_two_bridge(self.p, -self.mirror * self.qc)
 
     def torus_parameter(self) -> int | None:
         """Signed P when this link is the (2,P) torus link, else None.
@@ -191,14 +179,13 @@ def canonical_two_bridge(p: int, beta: int) -> TwoBridgeLink:
 
 
 def numerator_closure(t: TangleFraction) -> TwoBridgeLink:
-    """N(p/q) = b(p, q); N(1/0) is the unknot, N(0/1) the 2-unlink."""
-    if t.is_infinity:
-        return TwoBridgeLink(1, 0, 1)
-    if t.p > 0:
-        return canonical_two_bridge(t.p, t.q)
+    """N(p/q) = b(p, q), and b(-p, -q) for p < 0 (the mirror of N(-p/q)).
+
+    N(1/0) = b(1, 0) is the unknot and N(0/1) = b(0, 1) the 2-unlink.
+    """
     if t.p < 0:
-        return canonical_two_bridge(-t.p, t.q).mirrored()
-    return TwoBridgeLink(0, 0, 1)  # N(0/1) = unlink
+        return canonical_two_bridge(-t.p, -t.q)
+    return canonical_two_bridge(t.p, t.q)
 
 
 def closure_with_filler(t: TangleFraction, filler: TangleFraction) -> TwoBridgeLink:

@@ -16,12 +16,15 @@ every perfect matching of the darts and keeps the planar 3-string ones,
 one per canonical code, and `has_parallel_strands` runs
 `_parallel_on_reduced`, the parallel test as first written, on labels,
 `frozenset` arcs and label dicts, on the freely reduced diagram.
+`classify` is the census's classification as first written: it runs the
+weak-string test before reduction as well as after it, and that
+parallel test.
 """
 
 from math import gcd
 
 from tanglekit._record import Record
-from tanglekit.census import _strings_of
+from tanglekit.census import _has_weak_string, _strings_of
 from tanglekit.diagram.core import Component, TangleDiagram
 from tanglekit.diagram.rewrite import simplify
 from tanglekit.errors import NoSolution, TangleError
@@ -319,3 +322,17 @@ def has_parallel_strands(d: TangleDiagram) -> bool:
     every edge of both strands on it.
     """
     return _parallel_on_reduced(simplify(d, "free"))
+
+
+def classify(d: TangleDiagram) -> str:
+    """First matching category: split, parallel, reducible, unresolved."""
+    if _has_weak_string(d):
+        return "split"
+    small = simplify(d, "free")
+    if _has_weak_string(small):
+        return "split"
+    if _parallel_on_reduced(small):
+        return "parallel"
+    if small.n < d.n:
+        return "reducible"
+    return "unresolved"

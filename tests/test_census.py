@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from draws import _Gluing, random_diagram
 from oracles import _parallel_on_reduced as label_parallel_on_reduced
+from oracles import classify as oracle_classify
 from oracles import all_matchings, has_parallel_strands, naive_generate, trace_from
 from oracles import strand_map as _strand_map
 from tanglekit import census
@@ -339,6 +340,24 @@ class TestDetectors:
                     assert verdict == label_parallel_on_reduced(small)
                     verdicts[verdict] += 1
         assert verdicts == {True: 1750, False: 444}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.sampled_from((4, 6)))
+    def test_classify_matches_oracle(self, seed, n, k):
+        """classify, which tests weak strings after reduction only, agrees
+        with the classify that tested them before reduction too."""
+        d = random_diagram(random.Random(seed), n, k=k)
+        assert classify(d) == oracle_classify(d)
+
+    def test_classify_matches_oracle_up_to_two_crossings(self):
+        # every variant, so weak shadows too, which classify_level skips
+        verdicts = Counter()
+        for n in range(3):
+            for d in generate_diagrams(n):
+                verdict = classify(d)
+                assert verdict == oracle_classify(d)
+                verdicts[verdict] += 1
+        assert verdicts == {"split": 1097}
 
     @pytest.mark.parametrize("name", ["candidate_8x", "candidate_9x", "loops_tangle", "pjh", "trivial3"])
     def test_parallel_test_matches_label_oracle_on_fixtures(self, name):

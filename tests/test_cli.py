@@ -239,6 +239,8 @@ with open(FIX + "trivial3.pd") as _fh:
 # each a fixture to equal byte for byte, "" for none, or 1 for a single
 # line.  A row whose argv holds "{file}" is checked on what the command
 # writes to that file instead of stdout, which CI sends to /dev/null.
+# A golden is named as a file of tests/fixtures/, or by its path when it
+# lies in bench/data/.
 CI_GOLDENS = (
     (["solve"], None, None, "solve_default.json", "", 0),
     (["solve", "--config", "bench/data/framed.json"], None, None, "solve_framed.json", "", 0),
@@ -284,6 +286,18 @@ CI_GOLDENS = (
     ),
     (["identify", "--pd", FIX + "genus1.pd"], None, None, "", 1, 2),
     (["verify", "--in-trans"], TWO_B, None, "", 1, 2),
+    (
+        ["enumerate", "--max-crossings", "4", "--out", "{file}"],
+        None, None, "bench/data/census_n4.json", "", 0,
+    ),
+    (
+        ["enumerate", "--max-crossings", "3", "--jobs", "2", "--out", "{file}"],
+        None, None, "bench/data/census_n3.json", "", 0,
+    ),
+    (
+        ["enumerate", "--max-crossings", "4", "--jobs", "2", "--out", "{file}"],
+        None, None, "bench/data/census_n4.json", "", 0,
+    ),
 ) + tuple(
     (["identify", "--pd", f"{FIX}{name}.pd"], None, budget, out, err, code)
     for name, budget, out, err, code in (
@@ -327,7 +341,7 @@ def _golden(golden):
         return 1
     if not golden:
         return b""
-    with open(FIX + golden, "rb") as fh:
+    with open(golden if golden.startswith("bench/") else FIX + golden, "rb") as fh:
         return fh.read()
 
 
@@ -337,9 +351,11 @@ class TestCIGoldens:
             _replay(row, tmp_path, monkeypatch, capsysbinary)
 
     def test_every_ci_golden_has_a_row(self):
-        """A fixture that a CI `cmp` step compares with has a row here."""
+        """A file that a CI `cmp` step compares with, in tests/fixtures/ or
+        bench/data/, has a row here."""
         with open(".github/workflows/tests.yml") as fh:
-            named = set(re.findall(r"\bcmp\b.*\btests/fixtures/(\S+)", fh.read()))
+            paths = re.findall(r"\bcmp\b.*\b((?:tests/fixtures|bench/data)/\S+)", fh.read())
+        named = {path.removeprefix(FIX) for path in paths}
         rows = {golden for row in CI_GOLDENS for golden in row[3:5] if golden not in ("", 1)}
         assert named and named <= rows, sorted(named - rows)
 
@@ -392,6 +408,9 @@ class TestBadInput:
             ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "1"],
             ["verify", "--pd", "{trivial}", "--in-trans", "--Lt", "-1"],
             ["verify", "--pd", "{duplicate_b}", "--in-trans"],
+            ["solve", "--config", "{unknown_key}"],
+            ["solve", "--config", "{unknown_section}"],
+            ["deduce", "--facts", "{misspelled_facts}"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -405,6 +424,9 @@ class TestBadInput:
             "facts_not_a_list": '{"facts": "Planar"}',
             "unknown_atom": '{"facts": ["Bogus(x)"]}',
             "number_atom": '{"facts": [5]}',
+            "unknown_key": '{"deletion": {"e": 4, "atR": 6}}',
+            "unknown_section": '{"framng": {"d1": 2}}',
+            "misspelled_facts": '{"fatcs": ["Planar", "NotPlanar"]}',
         }
         paths = {
             "missing": str(tmp_path / "missing"),

@@ -11,7 +11,7 @@ from tanglekit.diagram import (
     recover_fraction,
     remove_string,
 )
-from tanglekit.errors import NoSolution, ParityViolation
+from tanglekit.errors import NoSolution, ParityViolation, UsageError
 from tanglekit.experiments import (
     ExperimentSystem,
     _solve_capped,
@@ -52,6 +52,29 @@ class TestSolveSystem:
     def test_config_round_trip(self):
         sys = ExperimentSystem()
         assert ExperimentSystem.from_dict(sys.as_dict()) == sys
+
+    def test_config_missing_keys_keep_defaults(self):
+        got = ExperimentSystem.from_dict({"deletion": {"attR": 6}, "framing": {}})
+        assert got == ExperimentSystem(L2=6)
+        assert ExperimentSystem.from_dict({}) == ExperimentSystem()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"deletion": {"e": 4, "atR": 6}}, "experiment config has no key 'deletion.atR'"),
+            ({"framng": {"d1": 2}}, "experiment config has no section 'framng'"),
+            ({"framng": 1}, "experiment config has no section 'framng'"),
+            # a wrong value is named before an unknown key
+            (
+                {"deletion": {"atR": 6, "e": 4.5}},
+                "experiment config deletion.e must be an integer, got 4.5",
+            ),
+        ],
+    )
+    def test_config_refuses_unknown_names(self, data, message):
+        with pytest.raises(UsageError) as err:
+            ExperimentSystem.from_dict(data)
+        assert str(err.value) == message
 
 
 def _capped_by_search(L, d):

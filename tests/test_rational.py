@@ -133,6 +133,18 @@ class TestTwoBridge:
         assert canonical_two_bridge(tb.p, rep) == tb
         assert tb.mirrored().mirrored() == tb
 
+    def test_mirror_is_negated_residue(self):
+        """b(p, q) mirrors to b(p, -q), for every coprime q in -p..2p-1 and p <= 60."""
+        from math import gcd
+
+        pairs = 0
+        for p in range(61):
+            for q in range(-p, 2 * p):
+                if gcd(q, p) == 1:
+                    assert canonical_two_bridge(p, q).mirrored() == canonical_two_bridge(p, -q)
+                    pairs += 1
+        assert pairs == 3306
+
 
 class TestDeletionPair:
     def test_paper_value(self):
