@@ -361,7 +361,11 @@ def _parallel_on_reduced(small: TangleDiagram) -> bool:
 
 
 class EnumerationReport(Record):
-    """Verdict counts of one crossing level, and the unresolved PD codes."""
+    """Verdict counts of one crossing level, and the unresolved PD codes.
+
+    `classify_level` and `merge` keep the codes sorted, so a report does
+    not depend on the order in which a search or its shards met them.
+    """
 
     __slots__ = _fields = ("n", "total", "split", "parallel", "reducible", "unresolved")
     __hash__ = None
@@ -399,7 +403,7 @@ class EnumerationReport(Record):
         }
 
     def merge(self, other: "EnumerationReport") -> "EnumerationReport":
-        """Add two shares of one level field by field (lists concatenate)."""
+        """Add two shares of one level field by field (lists merge sorted)."""
         if other.n != self.n:
             raise ValueError("cannot merge reports for different n")
         return EnumerationReport(
@@ -408,7 +412,7 @@ class EnumerationReport(Record):
             self.split + other.split,
             self.parallel + other.parallel,
             self.reducible + other.reducible,
-            self.unresolved + other.unresolved,
+            sorted(self.unresolved + other.unresolved),
         )
 
 
@@ -468,6 +472,7 @@ def classify_level(
                 report.unresolved.append(emit_pd(d))
             else:
                 setattr(report, verdict, getattr(report, verdict) + 1)
+    report.unresolved.sort()
     return report
 
 

@@ -1,21 +1,33 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import contextlib
+import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglekit.cli import main
+from tanglekit.experiments import _LAYOUT
+from tanglekit.graphdeduce import EDGES
 
 RUN = [sys.executable, "-m", "tanglekit.cli"]
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=b"", budget=None):
+    """Run `tanglekit args` in a fresh process, with TANGLEKIT_BUDGET set to
+    `budget` or unset; stdin, stdout and stderr are bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "TANGLEKIT_BUDGET"}
+    if budget is not None:
+        env["TANGLEKIT_BUDGET"] = budget
     return subprocess.run(
-        RUN + args, input=stdin, capture_output=True, text=True, timeout=600
+        RUN + args, input=stdin, capture_output=True, env=env, timeout=600
     )
 
 
@@ -135,6 +147,34 @@ class TestEnumerate:
         assert solo.returncode == multi.returncode == 0
         assert multi.stdout == solo.stdout
 
+    def test_unresolved_independent_of_jobs(self, tmp_path, monkeypatch):
+        """No level has an unresolved diagram up to n = 4, so a stand-in
+        `classify` calls a fixed seventh of the hard variants unresolved,
+        chosen by a sha256 of `alpha`, and the rest reducible.  The report
+        and the --unresolved-dir tree must then be the same for every
+        --jobs N.  The pool's workers see the stand-in only because they
+        are forked from this process: the start method on Linux, where CI
+        runs."""
+        from tanglekit import census
+
+        def stand_in(d):
+            if hashlib.sha256(repr(d.alpha).encode()).digest()[0] % 7 == 0:
+                return "unresolved"
+            return "reducible"
+
+        monkeypatch.setattr(census, "classify", stand_in)
+        runs = []
+        for jobs in ("1", "2", "3"):
+            out, tree = tmp_path / f"jobs{jobs}.json", tmp_path / f"unresolved{jobs}"
+            argv = ["enumerate", "--max-crossings", "4", "--jobs", jobs]
+            assert main([*argv, "--out", str(out), "--unresolved-dir", str(tree)]) == 1
+            files = {p.name: p.read_bytes() for p in tree.iterdir()}
+            runs.append((out.read_bytes(), files))
+        levels = json.loads(runs[0][0])["levels"]
+        assert [len(level["unresolved"]) for level in levels] == [0, 0, 0, 3, 151]
+        assert len(runs[0][1]) == 154
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -229,18 +269,20 @@ class TestBudget:
 
 
 FIX = "tests/fixtures/"
-# CI's trivial3.pd with its B line given twice, which `verify` refuses
+# trivial3.pd with its B line given twice, which `verify` refuses
 with open(FIX + "trivial3.pd") as _fh:
     TWO_B = re.sub(r"(?m)^B .*$", r"\g<0>\n\g<0>", _fh.read())
 
-# Every `cmp` and exit-code step of CI, one row each: (argv, stdin,
-# TANGLEKIT_BUDGET, stdout, stderr, exit code).  stdin is None, the argv
-# whose stdout is piped in, or the text itself.  stdout and stderr are
-# each a fixture to equal byte for byte, "" for none, or 1 for a single
-# line.  A row whose argv holds "{file}" is checked on what the command
-# writes to that file instead of stdout, which CI sends to /dev/null.
-# A golden is named as a file of tests/fixtures/, or by its path when it
-# lies in bench/data/.
+# Every golden of the CLI, one row each: (argv, stdin, TANGLEKIT_BUDGET,
+# stdout, stderr, exit code).  Every row is replayed twice: cold, in a
+# fresh `python -m tanglekit.cli` process as a user runs it, and in
+# process through `main`.  stdin is None for none, the argv whose stdout
+# is piped in, or the text itself.  A budget of None unsets the variable.
+# stdout and stderr are each a fixture to equal byte for byte, "" for
+# none, or 1 for a single line.  A row whose argv holds "{file}" is
+# checked on what the command writes to that file instead of stdout.  A
+# golden is named as a file of tests/fixtures/, or by its path when it
+# lies in bench/data/.  A new golden is one new row.
 CI_GOLDENS = (
     (["solve"], None, None, "solve_default.json", "", 0),
     (["solve", "--config", "bench/data/framed.json"], None, None, "solve_framed.json", "", 0),
@@ -313,7 +355,7 @@ CI_GOLDENS = (
 
 def _replay(row, tmp_path, monkeypatch, capsysbinary):
     """Run one row through `main` and check it against the row's goldens."""
-    argv, stdin, budget, out_golden, err_golden, exit_code = row
+    argv, stdin, budget = row[:3]
     if budget is None:
         monkeypatch.delenv("TANGLEKIT_BUDGET", raising=False)
     else:
@@ -324,7 +366,12 @@ def _replay(row, tmp_path, monkeypatch, capsysbinary):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
     file = tmp_path / "written"
     code = main([str(file) if a == "{file}" else a for a in argv])
-    out, err = capsysbinary.readouterr()
+    _check(row, code, *capsysbinary.readouterr(), file)
+
+
+def _check(row, code, out, err, file):
+    """Check one run of a row; a "{file}" row's output is what it wrote."""
+    argv, _, _, out_golden, err_golden, exit_code = row
     if "{file}" in argv:
         out = file.read_bytes()
     got = (argv, code, _seen(out, out_golden), _seen(err, err_golden))
@@ -345,24 +392,41 @@ def _golden(golden):
         return fh.read()
 
 
+def _row_id(row):
+    """A row as a shell line: `pjh | verify --in-trans`, fixtures by name."""
+    argv, stdin, budget = row[:3]
+    words = [a.removeprefix(FIX) for a in argv]
+    if isinstance(stdin, list):
+        words = [*stdin, "|", *words]
+    elif stdin is not None:
+        words.append("< text")
+    if budget is not None:
+        words.insert(0, f"TANGLEKIT_BUDGET={budget}")
+    return " ".join(words)
+
+
 class TestCIGoldens:
+    @pytest.mark.parametrize("row", CI_GOLDENS, ids=_row_id)
+    def test_replayed_cold(self, row, tmp_path):
+        argv, stdin, budget = row[:3]
+        if isinstance(stdin, list):
+            piped = run_cli(stdin, budget=budget)
+            assert piped.returncode == 0, piped.stderr
+            stdin = piped.stdout
+        else:
+            stdin = (stdin or "").encode()
+        file = tmp_path / "written"
+        proc = run_cli([str(file) if a == "{file}" else a for a in argv], stdin, budget)
+        _check(row, proc.returncode, proc.stdout, proc.stderr, file)
+
     def test_replayed_in_process(self, tmp_path, monkeypatch, capsysbinary):
         for row in CI_GOLDENS:
             _replay(row, tmp_path, monkeypatch, capsysbinary)
 
-    def test_every_ci_golden_has_a_row(self):
-        """A file that a CI `cmp` step compares with, in tests/fixtures/ or
-        bench/data/, has a row here."""
-        with open(".github/workflows/tests.yml") as fh:
-            paths = re.findall(r"\bcmp\b.*\b((?:tests/fixtures|bench/data)/\S+)", fh.read())
-        named = {path.removeprefix(FIX) for path in paths}
-        rows = {golden for row in CI_GOLDENS for golden in row[3:5] if golden not in ("", 1)}
-        assert named and named <= rows, sorted(named - rows)
-
 
 class TestIdentifyGoldens:
     def test_replayed_in_process_both_ways(self, tmp_path, monkeypatch, capsysbinary):
-        """CI's identify goldens, run through `main` from cold caches in
+        """The identify goldens, run through `main` from cold caches in
         order and then reversed, so that what an earlier query left in
         the per-determinant table caches cannot change an answer."""
         from tanglekit.diagram import identify
@@ -452,3 +516,83 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# -- input fuzz: any config, fact file or budget ends in an exit code --------
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+# configs in the real layout, and near misses: its sections and keys in
+# the wrong places, misspellings, and values of any JSON type
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        name: st.dictionaries(st.sampled_from(sorted(keys)), st.integers(-12, 12))
+        for name, keys in _LAYOUT.items()
+    },
+)
+NEAR_CONFIGS = st.dictionaries(
+    st.sampled_from(sorted(_LAYOUT) + ["framng", "in trans"]),
+    JSON
+    | st.dictionaries(
+        st.sampled_from(sorted({k for keys in _LAYOUT.values() for k in keys}) + ["atR"]),
+        st.integers() | JSON,
+        max_size=4,
+    ),
+    max_size=4,
+)
+ATOMS = st.sampled_from(["Planar", "NotPlanar", "CompressibleExt"]) | st.builds(
+    lambda head, edges: f"{head}:{'+'.join(edges)}",
+    st.sampled_from(["PlanarMinus", "CompressibleExtMinus", "PlanarSubgraph"]),
+    st.lists(st.sampled_from(EDGES), min_size=1, max_size=3),
+)
+FACT_FILES = st.fixed_dictionaries({"facts": st.lists(ATOMS, max_size=10)})
+NEAR_FACT_FILES = st.dictionaries(
+    st.sampled_from(["facts", "fatcs"]),
+    JSON | st.lists(ATOMS | JSON | st.sampled_from(["Planar:e1", "PlanarSubgraph:"])),
+    max_size=2,
+)
+
+
+def _main_quietly(argv):
+    """`main(argv)`'s exit code and stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _check_exit(code, err):
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+class TestInputFuzz:
+    """Random inputs through `main` in process: each ends in exit 0, 1, 2
+    or 3, never in an exception, and a usage error is one stderr line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=(CONFIGS | NEAR_CONFIGS | JSON).map(json.dumps) | TEXT)
+    def test_solve_config(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "config.json"
+        path.write_text(text, encoding="utf-8")
+        _check_exit(*_main_quietly(["solve", "--config", str(path)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=(FACT_FILES | NEAR_FACT_FILES | JSON).map(json.dumps) | TEXT)
+    def test_deduce_facts(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "facts.json"
+        path.write_text(text, encoding="utf-8")
+        _check_exit(*_main_quietly(["deduce", "--facts", str(path)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(budget=TEXT | st.integers(-3, 20).map(str))
+    def test_budget(self, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("TANGLEKIT_BUDGET", budget)
+            _check_exit(*_main_quietly(["identify", "--pd", FIX + "figure_eight.pd"]))

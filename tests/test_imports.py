@@ -1,7 +1,9 @@
 """Cold start: each command imports only the tanglekit modules it runs.
 
 Every case runs in a fresh interpreter, because the package's modules are
-already loaded in the test process.  No command may import `dataclasses`
+already loaded in the test process.  Each gets the PJH tangle's PD text on
+stdin, which only a command without --pd reads, so `verify --in-trans` runs
+as `tanglekit pjh | tanglekit verify --in-trans` does.  No command may import `dataclasses`
 or `inspect` beyond what a bare interpreter loads: each costs a cold
 process several milliseconds of compiling.
 """
@@ -31,6 +33,8 @@ IDENTIFY = {
     "tanglekit.diagram.surgery",
 } | DIAGRAM
 HEAVY = {"dataclasses", "inspect"}
+with open("tests/fixtures/pjh.pd", encoding="utf-8") as _fh:
+    PJH = _fh.read()
 
 RUN_MAIN = """
 import contextlib, io, json, sys
@@ -43,7 +47,11 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 def _loaded(script, *argv):
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, *argv],
+        input=PJH,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -94,9 +102,21 @@ def bare_modules():
             | DIAGRAM,
         ),
         (["verify", "--pd", "tests/fixtures/candidate_8x.pd"], {"tanglekit.experiments"} | IDENTIFY),
+        (["verify", "--in-trans"], {"tanglekit.experiments"} | IDENTIFY),
         (["identify", "--pd", "tests/fixtures/figure_eight.pd"], IDENTIFY),
     ],
-    ids=["import", "solve", "deduce", "enumerate", "lk", "reduce", "pjh", "verify", "identify"],
+    ids=[
+        "import",
+        "solve",
+        "deduce",
+        "enumerate",
+        "lk",
+        "reduce",
+        "pjh",
+        "verify",
+        "pjh | verify --in-trans",
+        "identify",
+    ],
 )
 def test_command_loads_only_its_modules(argv, adds, bare_modules):
     code, loaded = _loaded(RUN_MAIN, *argv)

@@ -1,8 +1,12 @@
 """PD text format: round trips, error reporting, genus detection."""
 
+import re
+from glob import glob
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglekit.diagram import (
     close_numerator,
@@ -13,7 +17,7 @@ from tanglekit.diagram import (
     rational_tangle_diagram,
     trivial_tangle,
 )
-from tanglekit.errors import NonPlanarCode, PDSyntaxError
+from tanglekit.errors import NonPlanarCode, PDSyntaxError, TangleError
 from tanglekit.experiments import pjh_tangle
 from tanglekit.rational import TangleFraction, reduce
 
@@ -160,3 +164,47 @@ class TestErrors:
         with pytest.raises(PDSyntaxError) as err:
             parse_pd(text)
         assert err.value.line == line
+
+
+def _tokens(path):
+    """A PD text as word tokens and single separator characters."""
+    with open(path, encoding="utf-8") as fh:
+        return tuple(re.findall(r"\w+|\W", fh.read()))
+
+
+FIXTURE_TOKENS = [_tokens(path) for path in sorted(glob("tests/fixtures/*.pd"))]
+TOKEN_POOL = sorted({tok for tokens in FIXTURE_TOKENS for tok in tokens})
+
+
+@st.composite
+def mutated_pd_texts(draw):
+    """A fixture PD text with one to four tokens replaced, deleted,
+    duplicated or swapped."""
+    tokens = list(draw(st.sampled_from(FIXTURE_TOKENS)))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate", "swap"]))
+        if op == "replace":
+            tokens[i] = draw(st.sampled_from(TOKEN_POOL))
+        elif op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return "".join(tokens)
+
+
+class TestMutatedTexts:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_pd_texts())
+    def test_parse_validates_and_round_trips_or_raises(self, text):
+        """`parse_pd` validates what it returns, so a mutated text either
+        yields a diagram whose emitted text reads back to itself, or is
+        refused with a TangleError."""
+        try:
+            d = parse_pd(text)
+        except TangleError:
+            return
+        emitted = emit_pd(d)
+        assert emit_pd(parse_pd(emitted)) == emitted
