@@ -30,6 +30,8 @@ diagrams and are classified variant by variant.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ._record import Record
 from .diagram.core import TangleDiagram, strand_walk, switch_crossings
 from .diagram.pdcode import emit_pd
@@ -38,14 +40,11 @@ from .errors import BudgetExceeded, TangleError
 
 HARD_CAP = 7
 GATE_CAP = 5
-# search depth at which the tree is dealt out to --jobs workers; deep
-# enough for a few thousand subtrees at n >= 4, so the shares stay even
-SHARD_DEPTH = 6
 
 # -- generation ------------------------------------------------------------
 
 
-def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
+def _shadow_search(n: int, k: int = 6):
     """Yield completed alpha tuples of planar loop-free shadows.
 
     The search walks the tree of `_Gluing`, the dict-state reference the
@@ -88,23 +87,14 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
       darts between them, and a fresh join adds two.  Below a face with
       an odd count, some face stays odd, so nonempty, and no leaf lies
       there.  So a split that leaves an odd part, or any glue at a pivot
-      whose face is odd, is skipped, but only at nodes of depth >=
-      SHARD_DEPTH: the nodes dealt out to shards, and their numbering,
-      do not depend on the cut.
+      whose face is odd, is skipped.
 
     One generator frame walks the tree with an explicit stack: `frames`
     holds each open node's candidates and its pivot state, and `edges` the
     glue of every edge on the current path.  The pivot is found by a
     cursor that only moves forward below a node and is restored on
     backtrack.
-
-    `shard=(jobs, worker)` searches only this worker's subtrees: the nodes
-    at depth SHARD_DEPTH are numbered in search order and node i belongs to
-    worker i % jobs; leaves shallower than that belong to worker 0.  Every
-    worker walks the same tree above that depth, so the shares partition
-    the leaves exactly.
     """
-    jobs, worker = shard or (1, 0)
     base = 4 * n
     nd = base + k
     alpha = [-1] * nd
@@ -120,38 +110,31 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
     order = list(range(base, nd)) + list(range(base))
     frames: list = []
     edges: list = []
-    at_depth = pos = depth = nf = 0
+    pos = nf = 0
     while True:
-        # at a new node, `depth` (= len(edges)) glued edges below the root
-        if depth != SHARD_DEPTH or at_depth % jobs == worker:
-            while pos < nd and alpha[order[pos]] >= 0:
-                pos += 1
-            if pos == nd:
-                if depth >= SHARD_DEPTH or worker == 0:
-                    yield tuple(alpha)
+        # at a new node: yield it if it is a leaf, else open it
+        while pos < nd and alpha[order[pos]] >= 0:
+            pos += 1
+        if pos == nd:
+            yield tuple(alpha)
+        else:
+            d0 = order[pos]
+            f = face_of[d0]
+            face = faces[f]
+            od = other[d0]
+            p = face.index(d0)
+            if len(face) & 1:
+                cands = []
             else:
-                d0 = order[pos]
-                f = face_of[d0]
-                face = faces[f]
-                od = other[d0]
-                p = face.index(d0)
-                if depth < SHARD_DEPTH:
-                    cands = [d for d in face if d != d0 and d != od]
-                elif len(face) & 1:
-                    cands = []
-                else:
-                    cands = [d for d in face[1 - (p & 1) :: 2] if d != od]
-                if nf < n and d0 >> 2 != nf:
-                    cands.append(4 * nf)
-                frames.append((iter(cands), d0, pos, f, face, p, od, nf))
-        if depth == SHARD_DEPTH:
-            at_depth += 1
+                cands = [d for d in face[1 - (p & 1) :: 2] if d != od]
+            if nf < n and d0 >> 2 != nf:
+                cands.append(4 * nf)
+            frames.append((iter(cands), d0, pos, f, face, p, od, nf))
         # descend to the next child of the deepest open node with one left
         while frames:
             cands, d0, pos, f, face, p, od, nf = frames[-1]
-            if depth == len(frames):  # undo the glue to the child just left
+            if len(edges) == len(frames):  # undo the glue to the child just left
                 b, pb, small = edges.pop()
-                depth -= 1
                 alpha[d0] = alpha[b] = -1
                 other[od] = d0
                 other[pb] = b
@@ -192,7 +175,6 @@ def _shadow_search(n: int, k: int = 6, shard: tuple[int, int] | None = None):
                 nf += 1
                 small = None
             edges.append((b, pb, small))
-            depth += 1
             break
         else:
             return
@@ -244,10 +226,10 @@ def check_level_gate(n: int, extended: bool) -> None:
         )
 
 
-def _level_alphas(n: int, extended: bool, shard: tuple[int, int] | None):
+def _level_alphas(n: int, extended: bool):
     """The n-crossing shadows' alphas, each as the search placed it."""
     check_level_gate(n, extended)
-    return _shadow_search(n, 6, shard)
+    return _shadow_search(n, 6)
 
 
 def _shadow(alpha: tuple[int, ...], n: int) -> TangleDiagram:
@@ -259,11 +241,7 @@ def _variants(shadow: TangleDiagram):
         yield TangleDiagram(shadow.n, shadow.k, alpha, shadow.strings)
 
 
-def generate_diagrams(
-    n: int,
-    extended: bool = False,
-    shard: tuple[int, int] | None = None,
-):
+def generate_diagrams(n: int, extended: bool = False):
     """Stream every 3-string tangle diagram with exactly n crossings.
 
     Diagrams are unique up to rotation-system isomorphism fixing the
@@ -281,12 +259,8 @@ def generate_diagrams(
     By induction the two leaves coincide.  Boundary-fixing automorphisms of these connected maps are
     trivial (rooted rigidity), so the 2^n over/under variants of one shadow
     are pairwise non-isomorphic as well.
-
-    `shard=(jobs, worker)` searches only this worker's subtrees (see
-    _shadow_search); the shares partition the diagrams exactly, so
-    per-level reports merge by addition.
     """
-    for alpha in _level_alphas(n, extended, shard):
+    for alpha in _level_alphas(n, extended):
         yield from _variants(_shadow(alpha, n))
 
 
@@ -364,7 +338,7 @@ class EnumerationReport(Record):
     """Verdict counts of one crossing level, and the unresolved PD codes.
 
     `classify_level` and `merge` keep the codes sorted, so a report does
-    not depend on the order in which a search or its shards met them.
+    not depend on the order in which a search or its shares met them.
     """
 
     __slots__ = _fields = ("n", "total", "split", "parallel", "reducible", "unresolved")
@@ -458,9 +432,15 @@ def classify_level(
     diagrams, whose variants go through `classify` one by one.  A shadow
     with a closed loop raises TangleError, as tracing its components
     would.
+
+    `shard=(jobs, worker)` classifies only this worker's share: every
+    worker runs the whole search and takes the shadows whose index in it
+    is worker modulo jobs.  The shares partition the level, so their
+    reports merge by addition.
     """
+    jobs, worker = shard or (1, 0)
     report = EnumerationReport(n)
-    for alpha in _level_alphas(n, extended, shard):
+    for alpha in islice(_level_alphas(n, extended), worker, None, jobs):
         if _shadow_split(alpha, n):
             report.total += 1 << n
             report.split += 1 << n

@@ -53,6 +53,17 @@ def _emit(data, out: str | None) -> None:
     _write(json.dumps(data, sort_keys=True, indent=2) + "\n", out)
 
 
+def _load_json(path: str):
+    """The JSON value in a file; whatever `json` refuses is a usage error,
+    including an integer past the int-string limit and nesting past the
+    recursion limit."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise UsageError(str(e)) from e
+
+
 def _read_pd(path: str | None):
     from .diagram.pdcode import parse_pd
 
@@ -71,8 +82,7 @@ def _cmd_solve(args) -> int:
     from .experiments import ExperimentSystem, solve_system
 
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            system = ExperimentSystem.from_dict(json.load(fh))
+        system = ExperimentSystem.from_dict(_load_json(args.config))
     else:
         system = ExperimentSystem()
     try:
@@ -180,8 +190,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_deduce(args) -> int:
     from .graphdeduce import FactBase, deduce
 
-    with open(args.facts, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(args.facts)
     facts = data.get("facts", []) if isinstance(data, dict) else None
     if not isinstance(facts, list) or data.keys() - {"facts"}:
         raise UsageError('fact file must be a JSON object {"facts": [...]}')
@@ -288,7 +297,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         sys.stderr.write(f"budget exceeded: {e}\n")
         return EXIT_BUDGET
-    except (UsageError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UsageError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except TangleError as e:

@@ -68,16 +68,21 @@ Terms = tuple[tuple[int, int], ...]
 
 
 def crossing_budget() -> int:
+    """The bracket crossing budget: TANGLEKIT_BUDGET if set, else 14.
+
+    The variable must be ASCII digits only.  `int` alone would also take
+    a sign, spaces, underscores and other scripts' digits; it still
+    refuses more digits than Python's int-string limit.
+    """
     raw = os.environ.get("TANGLEKIT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        budget = int(raw)
+        if raw.isascii() and raw.isdigit():
+            return int(raw)
     except ValueError:
-        raise UsageError(f"TANGLEKIT_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise UsageError(f"TANGLEKIT_BUDGET must be a non-negative integer, got {raw!r}")
-    return budget
+        pass
+    raise UsageError(f"TANGLEKIT_BUDGET must be a non-negative integer, got {raw!r}")
 
 
 def _require_closed(d: TangleDiagram) -> None:

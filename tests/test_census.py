@@ -3,7 +3,7 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import count
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from oracles import all_matchings, has_parallel_strands, naive_generate, trace_f
 from oracles import strand_map as _strand_map
 from tanglekit import census
 from tanglekit.census import (
-    SHARD_DEPTH,
     _has_weak_string,
     _over_under_variants,
     _shadow_search,
@@ -52,29 +51,24 @@ def _noncrossing_matchings(k):
     return rec(pts)
 
 
-def _recursive_shadow_search(n, k=6, shard=None):
+def _recursive_shadow_search(n, k=6):
     """The shadow search as first written, one generator frame per level;
     kept as an oracle for the explicit-stack search."""
-    jobs, worker = shard or (1, 0)
     state = _Gluing(n, k)
-    at_depth = count()
 
-    def rec(depth):
-        if depth == SHARD_DEPTH and next(at_depth) % jobs != worker:
-            return
+    def rec():
         d0 = state.pivot()
         if d0 is None:
-            if depth >= SHARD_DEPTH or worker == 0:
-                yield tuple(state.alpha)
+            yield tuple(state.alpha)
             return
         for b in state.candidates(d0):
             undo = state.glue(d0, b)
             if undo is None:
                 continue
-            yield from rec(depth + 1)
+            yield from rec()
             state.unglue(undo)
 
-    yield from rec(0)
+    yield from rec()
 
 
 def _probe_strings_of(alpha, n, k):
@@ -203,36 +197,35 @@ class TestGenerator:
         for n in range(4):
             full = classify_level(n)
             for jobs in (2, 3):
-                merged = classify_level(n, shard=(jobs, 0))
-                for w in range(1, jobs):
-                    merged = merged.merge(classify_level(n, shard=(jobs, w)))
+                parts = [classify_level(n, shard=(jobs, w)) for w in range(jobs)]
+                merged = parts[0]
+                for part in parts[1:]:
+                    merged = merged.merge(part)
                 assert merged.as_dict() == full.as_dict()
+                if n >= 2:
+                    assert all(part.total for part in parts)
 
     def test_search_matches_recursive_oracle(self):
-        # same leaves in the same order, serial and in every shard
+        # same leaves in the same order
         for n in range(5):
-            for shard in (None, (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
-                assert list(_shadow_search(n, shard=shard)) == list(
-                    _recursive_shadow_search(n, shard=shard)
-                )
+            assert list(_shadow_search(n)) == list(_recursive_shadow_search(n))
 
     @pytest.mark.parametrize(
-        "n, shard, leaves, sha256",
+        "n, limit, leaves, sha256",
         [
             (5, None, 119298, "38057d3c14448fc6503dde29485be9ec50c0d9a991dee951bb6f7888a2f3092b"),
-            (5, (2, 0), 60538, "75c1a752bee149d7fb47c37e50158b8d458e2aaebaba46783adab2f1579549bb"),
-            (5, (2, 1), 58760, "9981e3d0bca140c76dc4fa6c76381539acd49ae802981fcbb7fe7042c1fdb553"),
-            (6, (64, 0), 20008, "861ce8aa52480acd2bf2a682a558f67732ffd06db17b30e53af0c685c3f68edc"),
-            (6, (64, 37), 11210, "e6f0472e1b307a7a8a0484553a54e795a7cc5e57126c8a834c261436c01d173d"),
+            (6, 50000, 50000, "8b293b445897f51c7ba9781ffee3e87ab194061ae3fa9ce17853267dc5b5752a"),
+            (7, 50000, 50000, "72233b5265b51e8cd3dba56361b5d361e476770cbe6423d980e91c85aca87838"),
         ],
     )
-    def test_search_leaves_pinned(self, n, shard, leaves, sha256):
+    def test_search_leaves_pinned(self, n, limit, leaves, sha256):
         # (count, sha256 over the repr of each leaf, one per line) as the
         # search on `_Gluing` yields them, at sizes past the reach of the
-        # recursive oracle
+        # recursive oracle: the whole n = 5 search, and the first `limit`
+        # leaves at n = 6 and 7
         digest = hashlib.sha256()
         found = 0
-        for alpha in _shadow_search(n, shard=shard):
+        for alpha in islice(_shadow_search(n), limit):
             digest.update(repr(alpha).encode() + b"\n")
             found += 1
         assert (found, digest.hexdigest()) == (leaves, sha256)
@@ -246,15 +239,6 @@ class TestGenerator:
                 assert _strings_of(alpha, n, 6) == _probe_strings_of(alpha, n, 6)
                 looped += _strand_map(alpha, n, 6) is None
         assert looped > 0
-
-    def test_shards_partition_the_shadows(self):
-        for n in range(4):
-            full = list(_shadow_search(n))
-            for jobs in (2, 3):
-                shares = [list(_shadow_search(n, shard=(jobs, w))) for w in range(jobs)]
-                assert sorted(sum(shares, [])) == sorted(full)
-                if n >= 2:
-                    assert all(shares)
 
     @pytest.mark.parametrize("k", (4, 6))
     def test_random_diagram_matches_listed_variants(self, k):
@@ -400,7 +384,7 @@ class TestShadowVerdict:
         # others exactly once and each other string meets the rest at least
         # twice, so only the bound's "exactly once" case settles it
         alpha = (12, 13, 14, 9, 15, 16, 11, 10, 17, 3, 7, 6, 0, 1, 2, 4, 5, 8)
-        assert alpha in set(_shadow_search(3, 6, None))
+        assert alpha in set(_shadow_search(3, 6))
         shadow = census._shadow(alpha, 3)
         meets = Counter(
             i for under, over in shadow.crossing_strands if under != over for i in (under, over)
@@ -439,7 +423,7 @@ class TestTheorem:
         with pytest.raises(BudgetExceeded) as up_front:
             verify_theorem_4_4(n_max, extended)
         with pytest.raises(BudgetExceeded) as at_level:
-            next(census._level_alphas(n_max, extended, None))
+            next(census._level_alphas(n_max, extended))
         assert str(up_front.value) == str(at_level.value)
 
     def test_report_merge_guard(self):

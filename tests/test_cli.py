@@ -267,6 +267,23 @@ class TestBudget:
         monkeypatch.setenv("TANGLEKIT_BUDGET", "0")
         assert main(["identify", "--pd", str(pd)]) == 3
 
+    @pytest.mark.parametrize(
+        "budget",
+        ["1_3", " 13 ", "+13", "\u0661\u0663", pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_budget_is_ascii_digits_only(self, budget, monkeypatch, capsys):
+        # int() reads each of the first four as 13, which torus14's 14
+        # crossings exceed, and refuses the last past its digit limit
+        monkeypatch.setenv("TANGLEKIT_BUDGET", budget)
+        assert main(["identify", "--pd", "tests/fixtures/torus14.pd"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: TANGLEKIT_BUDGET must be a non-negative integer, got {budget!r}\n"
+
+    @pytest.mark.parametrize("budget, code", [("0", 3), ("14", 0)])
+    def test_budget_in_digits(self, budget, code, monkeypatch, capsys):
+        monkeypatch.setenv("TANGLEKIT_BUDGET", budget)
+        assert main(["identify", "--pd", "tests/fixtures/torus14.pd"]) == code
+
 
 FIX = "tests/fixtures/"
 # trivial3.pd with its B line given twice, which `verify` refuses
@@ -283,6 +300,12 @@ with open(FIX + "trivial3.pd") as _fh:
 # checked on what the command writes to that file instead of stdout.  A
 # golden is named as a file of tests/fixtures/, or by its path when it
 # lies in bench/data/.  A new golden is one new row.
+# the n = 6 census takes minutes: it is replayed cold only, under
+# `pytest -m slow`, which the default run deselects
+CENSUS_N6 = (
+    ["enumerate", "--max-crossings", "6", "--extended", "--jobs", "2", "--out", "{file}"],
+    None, None, "census_n6.json", "", 0,
+)
 CI_GOLDENS = (
     (["solve"], None, None, "solve_default.json", "", 0),
     (["solve", "--config", "bench/data/framed.json"], None, None, "solve_framed.json", "", 0),
@@ -340,6 +363,7 @@ CI_GOLDENS = (
         ["enumerate", "--max-crossings", "4", "--jobs", "2", "--out", "{file}"],
         None, None, "bench/data/census_n4.json", "", 0,
     ),
+    CENSUS_N6,
 ) + tuple(
     (["identify", "--pd", f"{FIX}{name}.pd"], None, budget, out, err, code)
     for name, budget, out, err, code in (
@@ -406,7 +430,11 @@ def _row_id(row):
 
 
 class TestCIGoldens:
-    @pytest.mark.parametrize("row", CI_GOLDENS, ids=_row_id)
+    @pytest.mark.parametrize(
+        "row",
+        [pytest.param(r, marks=pytest.mark.slow) if r is CENSUS_N6 else r for r in CI_GOLDENS],
+        ids=_row_id,
+    )
     def test_replayed_cold(self, row, tmp_path):
         argv, stdin, budget = row[:3]
         if isinstance(stdin, list):
@@ -421,7 +449,8 @@ class TestCIGoldens:
 
     def test_replayed_in_process(self, tmp_path, monkeypatch, capsysbinary):
         for row in CI_GOLDENS:
-            _replay(row, tmp_path, monkeypatch, capsysbinary)
+            if row is not CENSUS_N6:
+                _replay(row, tmp_path, monkeypatch, capsysbinary)
 
 
 class TestIdentifyGoldens:
@@ -475,6 +504,10 @@ class TestBadInput:
             ["solve", "--config", "{unknown_key}"],
             ["solve", "--config", "{unknown_section}"],
             ["deduce", "--facts", "{misspelled_facts}"],
+            ["solve", "--config", "{long_integer}"],
+            ["solve", "--config", "{deep}"],
+            ["deduce", "--facts", "{long_integer}"],
+            ["deduce", "--facts", "{deep}"],
         ],
     )
     def test_one_line_and_usage_exit(self, argv, tmp_path, capsys):
@@ -491,6 +524,9 @@ class TestBadInput:
             "unknown_key": '{"deletion": {"e": 4, "atR": 6}}',
             "unknown_section": '{"framng": {"d1": 2}}',
             "misspelled_facts": '{"fatcs": ["Planar", "NotPlanar"]}',
+            # refused by `json` with ValueError and RecursionError
+            "long_integer": "9" * 5000,
+            "deep": "[" * 100_000,
         }
         paths = {
             "missing": str(tmp_path / "missing"),
