@@ -21,16 +21,27 @@ disjunction: split, else parallel strands, else reducible under free
 isotopy, else unresolved.  Both strand detectors only ever report verdicts
 that are certified combinatorially (a sufficient criterion), so
 incompleteness surfaces as unresolved entries, never as false positives.
-A level is classified shadow by shadow: the weak-string test, run on the
-strand walk's flat map from each dart to its strand (`strand_walk`, the
-one walk `TangleDiagram` traces with), does not see over/under, so one
-test settles all 2^n variants of most shadows; only the rest become
-diagrams and are classified variant by variant.
+
+A level is classified without walking most of its shadows.  The weak-string
+test does not see over/under, so a shadow with a string that crosses the
+others at most once stands for 2^n split diagrams.  Such a string's count
+is final once the glue that closes it is made: every crossing it passes
+once has another strand through it, whatever is glued later.  So the
+search stops at every such settled node and counts the leaves below it,
+all weak, by transfer-matrix counting over its frontier (Jacobsen and
+Zinn-Justin, "A transfer matrix approach to the enumeration of knots",
+JKTR 11, 2002): the open darts of each face, the far end of each one's
+partial strand and the number of fresh crossings left.  That count is
+exact because, with fresh crossings numbered in order of attachment,
+whether a completion is planar and loop-free depends only on the
+frontier, and each completion is reached once under any fixed pivot rule
+(`_shadow_search` has the proof).  The leaves the walk still reaches are
+the hard shadows, in the full walk's order; only they become diagrams
+and are classified variant by variant.  Each level checks that its weak
+and hard shadows add up to the frontier count of the whole search.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from ._record import Record
 from .diagram.core import TangleDiagram, strand_walk, switch_crossings
@@ -44,7 +55,7 @@ GATE_CAP = 5
 # -- generation ------------------------------------------------------------
 
 
-def _shadow_search(n: int, k: int = 6):
+def _shadow_search(n: int, k: int = 6, settle: bool = False):
     """Yield completed alpha tuples of planar loop-free shadows.
 
     The search walks the tree of `_Gluing`, the dict-state reference the
@@ -94,6 +105,42 @@ def _shadow_search(n: int, k: int = 6):
     glue of every edge on the current path.  The pivot is found by a
     cursor that only moves forward below a node and is restored on
     backtrack.
+
+    With `settle`, the walk does not descend into a settled node: one
+    whose glue closes a string (both new path ends, `od` and `pb`, are
+    endpoints) that passes at most one crossing once.  It yields the
+    node's leaf count instead, `_completions` of its frontier, memoised
+    for the walk, and yields as alphas only the leaves below no settled
+    node, in the full walk's order.  Four facts make that exact:
+
+    * A closed string's count of crossings with the other strings is
+      final.  Its crossings are all attached; one it passes twice is a
+      self-crossing, and one it passes once has its other transit on
+      another strand, whatever is glued later.  That count is the one
+      `_weak_in` takes for the string on every leaf below.  So every leaf
+      below a settled node has a weak string, and every leaf with one lies
+      below the settled node made by the glue that closes that string.
+    * Fresh crossings are numbered in order of attachment.  The walk
+      attaches only the lowest fresh crossing, through slot 0, so the
+      leaves below a node are its completions: the ways to match its open
+      darts and the fresh crossings' darts into a planar loop-free map, up
+      to renumbering the fresh crossings, each one turned by its
+      first-glued dart.
+    * Whether a completion is planar and loop-free depends only on the
+      frontier.  The open darts lie in one component (the second fact
+      above), so a completion is planar when each glue joins two darts of
+      one face without crossing another glue, or puts a fresh crossing in
+      a face; that sees each face's open darts in cyclic order, which its
+      list holds.  It is loop-free when no glue joins the two ends of one
+      path, which the far ends record.  Nothing else of the glued part
+      matters.
+    * Each completion is reached once under a fixed pivot rule.  At each
+      node the pivot's mate in the completion is either an attached dart,
+      one candidate, or a dart of an unattached crossing, which the rule
+      attaches next with that dart as slot 0; two completions part at the
+      first pivot whose mates differ.  So `_completions`, which pivots on
+      the first open dart of the first face, counts the same leaves as
+      the walk below the node.
     """
     base = 4 * n
     nd = base + k
@@ -110,6 +157,7 @@ def _shadow_search(n: int, k: int = 6):
     order = list(range(base, nd)) + list(range(base))
     frames: list = []
     edges: list = []
+    memo: dict = {}
     pos = nf = 0
     while True:
         # at a new node: yield it if it is a leaf, else open it
@@ -175,9 +223,96 @@ def _shadow_search(n: int, k: int = 6):
                 nf += 1
                 small = None
             edges.append((b, pb, small))
+            if settle and od >= base and pb >= base and _passes_once(alpha, od, base) <= 1:
+                # a settled child: count its leaves, then back out of it.
+                # A joined crossing's hole stays behind with its first
+                # dart glued, and faces[nf + 1 : n + 1] are fresh holes.
+                live = [
+                    h for g, h in enumerate(faces) if h and alpha[h[0]] < 0 and not nf < g <= n
+                ]
+                yield _completions(n - nf, *_frontier(live, other), memo)
+                continue
             break
         else:
             return
+
+
+def _passes_once(alpha: list[int], end: int, base: int) -> int:
+    """How many crossings the string from endpoint dart `end` passes once."""
+    once: set = set()
+    x = alpha[end]
+    while x < base:
+        once ^= {x >> 2}
+        x = alpha[x ^ 2]
+    return len(once)
+
+
+def _frontier(faces: list, far_of: list[int]) -> tuple:
+    """The face sizes and far ends of the open darts in `faces`.
+
+    Darts are relabelled by first appearance, so the faces hold
+    consecutive labels, and the far end of each open dart, in that order,
+    is the label of the other end of its path, or -1 when that end is an
+    endpoint already glued.
+    """
+    label = {}
+    for face in faces:
+        for d in face:
+            label[d] = len(label)
+    return tuple(map(len, faces)), tuple(label.get(far_of[d], -1) for d in label)
+
+
+def _completions(fresh: int, sizes: tuple, far: tuple, memo: dict) -> int:
+    """Leaves below a search node whose frontier is (fresh, sizes, far).
+
+    The pivot is the first open dart, x = 0, of the first face; its glues
+    are those the search would try: each dart of its face that leaves
+    both parts even, less its far end, and slot 0 of one fresh crossing
+    c, whose other darts (labels m, m + 1, m + 2 for c + 1, c + 2, c + 3)
+    join the face as face[1:] + [c + 3, c + 2, c + 1].  No open dart
+    left counts 1 when no fresh crossing is left either, else 0, and a
+    face with an odd number of open darts counts 0 (the parity cut).
+    """
+    key = (fresh, sizes, far)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    total = 0
+    if not sizes:
+        total = int(not fresh)
+    elif not any(size & 1 for size in sizes):
+        size, m = sizes[0], len(far)
+        rest, at = [], size
+        for s in sizes[1:]:
+            rest.append(range(at, at + s))
+            at += s
+        a = far[0]
+        end_a = -1 if a == 0 else a  # x was a lone endpoint
+        for j in range(1, size, 2):
+            if j == a:  # gluing x to its own far end closes a loop
+                continue
+            b = far[j]
+            end_b = -1 if b == j else b
+            glued = list(far)
+            if end_a >= 0:
+                glued[end_a] = end_b
+            if end_b >= 0:
+                glued[end_b] = end_a
+            parts = [face for face in (range(1, j), range(j + 1, size)) if face]
+            total += _completions(fresh, *_frontier(parts + rest, glued), memo)
+        if fresh:
+            glued = list(far) + [m + 2, end_a, m]
+            if end_a >= 0:
+                glued[end_a] = m + 1
+            joined = [*range(1, size), m + 2, m + 1, m]
+            total += _completions(fresh - 1, *_frontier([joined] + rest, glued), memo)
+    memo[key] = total
+    return total
+
+
+def _root_count(n: int) -> int:
+    """The leaves of the whole n-crossing search, counted by frontier."""
+    return _completions(n, (6,), tuple(range(6)), {})
 
 
 _LABELS = ("a", "b", "c", "d", "e", "f")
@@ -194,15 +329,6 @@ def _strings_of(alpha: tuple[int, ...], n: int, k: int) -> tuple:
     base = 4 * n
     _, out, cuts = strand_walk(alpha, base, range(base, base + k))
     return tuple((_LABELS[i], out[c] - base) for i, c in enumerate(cuts[:-1]))
-
-
-def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
-    """The weak-string test on a shadow's strand walk (see classify_level)."""
-    base = 4 * n
-    owner, out, _ = strand_walk(alpha, base, range(base, base + 6))
-    if 2 * len(out) != len(alpha):  # an arc no string walked lies on a loop
-        raise TangleError("shadow has a closed loop")
-    return _weak_in(owner, n, 3, 3)
 
 
 def _variant(alpha: tuple[int, ...], n: int, bits: int) -> tuple[int, ...]:
@@ -415,43 +541,60 @@ def classify(d: TangleDiagram) -> str:
 def classify_level(
     n: int, extended: bool = False, shard: tuple[int, int] | None = None
 ) -> EnumerationReport:
-    """Classify every n-crossing diagram, one weak-string test per shadow.
+    """Classify every n-crossing diagram, counting weak shadows by frontier.
 
-    The test is `_weak_in`, on the strand through each dart of the
-    shadow, as `strand_walk` finds it.  A crossing's strands are those of
-    its slot-0 and slot-1 darts; a string is weak when at most one
-    crossing has it on one side and another strand on the other.
+    The settled walk (`_shadow_search` with `settle`) yields the leaf
+    count of each settled subtree, whose shadows all have a weak string,
+    and the alphas of the hard shadows, in walk order.  A string is weak
+    when at most one crossing has it on one side and another strand on
+    the other (`_weak_in`, on the strands of each crossing's slot-0 and
+    slot-1 darts).
 
     Lemma: that verdict is the same for all 2^n over/under variants of a
     shadow.  A variant turns some crossings a quarter turn, which swaps the
     strands in the under slots with those in the over slots but keeps the
     unordered pair of strands meeting there, so the per-string counts, and
     the verdict, agree on every variant (and with `_has_weak_string`, the
-    same `_weak_in` on each variant's diagram).  A shadow with a weak
-    string therefore adds 2^n split diagrams; only the others become
-    diagrams, whose variants go through `classify` one by one.  A shadow
-    with a closed loop raises TangleError, as tracing its components
-    would.
+    same `_weak_in` on each variant's diagram).  A weak shadow therefore
+    adds 2^n split diagrams; only the hard ones become diagrams, whose
+    variants go through `classify` one by one.
+
+    The walk's weak and hard shadows must add up to `_root_count(n)`, the
+    frontier count of the whole search, or the level raises TangleError:
+    a settled count that disagrees with the rest of the walk, or a walk
+    that skips or repeats a leaf, does not pass silently.
 
     `shard=(jobs, worker)` classifies only this worker's share: every
-    worker runs the whole search and takes the shadows whose index in it
-    is worker modulo jobs.  The shares partition the level, so their
-    reports merge by addition.
+    worker runs the whole walk and takes the items, settled counts and
+    hard shadows alike, whose index in it is worker modulo jobs.  The
+    shares partition the level, so their reports merge by addition, and
+    each worker checks the whole walk's sum.
     """
     jobs, worker = shard or (1, 0)
+    check_level_gate(n, extended)
     report = EnumerationReport(n)
-    for alpha in islice(_level_alphas(n, extended), worker, None, jobs):
-        if _shadow_split(alpha, n):
-            report.total += 1 << n
-            report.split += 1 << n
+    found = 0
+    for i, item in enumerate(_shadow_search(n, 6, settle=True)):
+        weak = isinstance(item, int)  # a settled subtree's leaf count
+        found += item if weak else 1
+        if i % jobs != worker:
             continue
-        for d in _variants(_shadow(alpha, n)):
+        if weak:
+            report.total += item << n
+            report.split += item << n
+            continue
+        for d in _variants(_shadow(item, n)):
             report.total += 1
             verdict = classify(d)
             if verdict == "unresolved":
                 report.unresolved.append(emit_pd(d))
             else:
                 setattr(report, verdict, getattr(report, verdict) + 1)
+    shadows = _root_count(n)
+    if found != shadows:
+        raise TangleError(
+            f"level {n}: the search found {found} shadows, the frontier count {shadows}"
+        )
     report.unresolved.sort()
     return report
 

@@ -13,7 +13,9 @@ the diagram.
 
 The census oracles came from `census`, verbatim: `naive_generate` tries
 every perfect matching of the darts and keeps the planar 3-string ones,
-one per canonical code, and `has_parallel_strands` runs
+one per canonical code; `_shadow_split` is the weak-string test on one
+shadow's strand walk, which the census ran on every leaf of its search
+before it counted settled subtrees; and `has_parallel_strands` runs
 `_parallel_on_reduced`, the parallel test as first written, on labels,
 `frozenset` arcs and label dicts, on the freely reduced diagram.
 `classify` is the census's classification as first written: it runs the
@@ -24,8 +26,8 @@ parallel test.
 from math import gcd
 
 from tanglekit._record import Record
-from tanglekit.census import _has_weak_string, _strings_of
-from tanglekit.diagram.core import Component, TangleDiagram
+from tanglekit.census import _has_weak_string, _strings_of, _weak_in
+from tanglekit.diagram.core import Component, TangleDiagram, strand_walk
 from tanglekit.diagram.rewrite import simplify
 from tanglekit.errors import NoSolution, TangleError
 from tanglekit.rational import (
@@ -268,6 +270,15 @@ def naive_generate(n: int):
             continue
         seen.add(code)
         yield d
+
+
+def _shadow_split(alpha: tuple[int, ...], n: int) -> bool:
+    """The weak-string test on a shadow's strand walk (see classify_level)."""
+    base = 4 * n
+    owner, out, _ = strand_walk(alpha, base, range(base, base + 6))
+    if 2 * len(out) != len(alpha):  # an arc no string walked lies on a loop
+        raise TangleError("shadow has a closed loop")
+    return _weak_in(owner, n, 3, 3)
 
 
 def _parallel_on_reduced(small: TangleDiagram) -> bool:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from draws import _Gluing, random_diagram
 from oracles import _parallel_on_reduced as label_parallel_on_reduced
+from oracles import _shadow_split
 from oracles import classify as oracle_classify
 from oracles import all_matchings, has_parallel_strands, naive_generate, trace_from
 from oracles import strand_map as _strand_map
@@ -19,13 +20,13 @@ from tanglekit.census import (
     _has_weak_string,
     _over_under_variants,
     _shadow_search,
-    _shadow_split,
     _strings_of,
     classify,
     classify_level,
     generate_diagrams,
     verify_theorem_4_4,
 )
+from tanglekit.cli import main
 from tanglekit.diagram import TangleDiagram, parse_pd, simplify
 from tanglekit.diagram.rewrite import apply_r2_add
 from tanglekit.errors import BudgetExceeded, TangleError
@@ -403,6 +404,46 @@ class TestShadowVerdict:
             assert report.parallel == tally["parallel"]
             assert report.reducible == tally["reducible"]
             assert len(report.unresolved) == tally["unresolved"]
+
+
+def _settled_walk_against_full_walk(n):
+    """The settled walk's hard shadows, and its weak tally, equal the full
+    walk's leaves that `_shadow_split` keeps and the number it drops."""
+    full = list(_shadow_search(n))
+    hard = [alpha for alpha in full if not _shadow_split(alpha, n)]
+    items = list(_shadow_search(n, 6, settle=True))
+    assert [item for item in items if not isinstance(item, int)] == hard
+    assert sum(item for item in items if isinstance(item, int)) == len(full) - len(hard)
+
+
+class TestSettledWalk:
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_full_walk(self, n):
+        _settled_walk_against_full_walk(n)
+
+    @pytest.mark.slow
+    def test_matches_full_walk_n6(self):
+        _settled_walk_against_full_walk(6)
+
+    def test_root_counts_pinned(self):
+        # the full walk's leaf counts for n <= 5 (the test above), and past
+        # its reach: 1,002,485 at n = 6 (the slow test) and 8,672,250 at 7
+        counts = [census._root_count(n) for n in range(8)]
+        assert counts == [5, 36, 255, 1890, 14703, 119298, 1002485, 8672250]
+
+    def test_off_count_is_refused(self, monkeypatch, capsys, tmp_path):
+        """A frontier count one off from the walk refuses the level, and
+        `enumerate` ends in exit 1 with one line on stderr."""
+        root_count = census._root_count
+        monkeypatch.setattr(census, "_root_count", lambda n: root_count(n) + 1)
+        refusal = "^level 2: the search found 255 shadows, the frontier count 256$"
+        with pytest.raises(TangleError, match=refusal):
+            classify_level(2)
+        out = tmp_path / "report.json"
+        assert main(["enumerate", "--max-crossings", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: level 0: the search found 5 shadows, the frontier count 6\n"
+        assert not out.exists()
 
 
 class TestTheorem:

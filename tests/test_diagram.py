@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from draws import random_diagram
+from oracles import _shadow_split
 from poly_helpers import LOOP_FACTOR, LaurentPoly, monomial, one, power, zero
-from tanglekit.census import _has_weak_string, _shadow_split, _strings_of
+from tanglekit.census import _has_weak_string, _strings_of
 from tanglekit.diagram import (
     TangleDiagram,
     add_boundary_twists,
