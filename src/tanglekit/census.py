@@ -336,7 +336,7 @@ def _variant(alpha: tuple[int, ...], n: int, bits: int) -> tuple[int, ...]:
     return switch_crossings(alpha, [c for c in range(n) if (bits >> c) & 1])[0]
 
 
-def _over_under_variants(alpha: tuple[int, ...], n: int, k: int):
+def _over_under_variants(alpha: tuple[int, ...], n: int):
     """All 2^n under-strand assignments of a shadow, in order of bits."""
     for bits in range(1 << n):
         yield _variant(alpha, n, bits)
@@ -352,18 +352,12 @@ def check_level_gate(n: int, extended: bool) -> None:
         )
 
 
-def _level_alphas(n: int, extended: bool):
-    """The n-crossing shadows' alphas, each as the search placed it."""
-    check_level_gate(n, extended)
-    return _shadow_search(n, 6)
-
-
 def _shadow(alpha: tuple[int, ...], n: int) -> TangleDiagram:
     return TangleDiagram(n, 6, alpha, _strings_of(alpha, n, 6))
 
 
 def _variants(shadow: TangleDiagram):
-    for alpha in _over_under_variants(shadow.alpha, shadow.n, shadow.k):
+    for alpha in _over_under_variants(shadow.alpha, shadow.n):
         yield TangleDiagram(shadow.n, shadow.k, alpha, shadow.strings)
 
 
@@ -386,7 +380,8 @@ def generate_diagrams(n: int, extended: bool = False):
     trivial (rooted rigidity), so the 2^n over/under variants of one shadow
     are pairwise non-isomorphic as well.
     """
-    for alpha in _level_alphas(n, extended):
+    check_level_gate(n, extended)
+    for alpha in _shadow_search(n, 6):
         yield from _variants(_shadow(alpha, n))
 
 

@@ -22,6 +22,7 @@ loads the standard library's record-class generator, nor the `inspect`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -140,6 +141,7 @@ def _cmd_lk(args) -> int:
 
 
 def _level_worker(payload):
+    """One share `(n, extended, jobs, worker)` of a level, as a report dict."""
     from . import census
 
     n, extended, jobs, worker = payload
@@ -156,26 +158,21 @@ def _cmd_enumerate(args) -> int:
         )
     if args.jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {args.jobs}")
-    extended = args.extended
+    extended, jobs = args.extended, args.jobs
     census.check_level_gate(args.max_crossings, extended)
-    levels = range(args.max_crossings + 1)
-    if args.jobs > 1:
-        import multiprocessing as mp
+    with contextlib.ExitStack() as stack:
+        share_map = map
+        if jobs > 1:
+            import multiprocessing as mp
 
+            share_map = stack.enter_context(mp.Pool(jobs)).map
         reports = []
-        with mp.Pool(args.jobs) as pool:
-            for n in levels:
-                parts = pool.map(
-                    _level_worker,
-                    [(n, extended, args.jobs, w) for w in range(args.jobs)],
-                )
-                merged = census.EnumerationReport(n)
-                for part in parts:
-                    part.pop("holds")
-                    merged = merged.merge(census.EnumerationReport(**part))
-                reports.append(merged)
-    else:
-        reports = [census.classify_level(n, extended=extended) for n in levels]
+        for n in range(args.max_crossings + 1):
+            merged = census.EnumerationReport(n)
+            for part in share_map(_level_worker, [(n, extended, jobs, w) for w in range(jobs)]):
+                part.pop("holds")
+                merged = merged.merge(census.EnumerationReport(**part))
+            reports.append(merged)
     if args.unresolved_dir:
         os.makedirs(args.unresolved_dir, exist_ok=True)
         for rep in reports:

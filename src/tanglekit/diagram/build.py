@@ -15,7 +15,7 @@ with the tangle-fraction arithmetic:
 from __future__ import annotations
 
 from ..errors import TangleError
-from ..rational import TangleFraction, add_integral, add_vertical, reduce
+from ..rational import TangleFraction, add_integral, add_vertical
 from .core import TangleDiagram, compact, connect, pairing, strand_walk
 
 # Crossing type used for one positive twist, per twist direction.  True
@@ -135,13 +135,6 @@ def continued_fraction(fr: TangleFraction) -> list[int]:
             terms[-1] -= 1
             terms.append(1)
     return terms
-
-
-def evaluate_continued_fraction(terms: list[int]) -> TangleFraction:
-    t = reduce(terms[-1], 1)
-    for b in reversed(terms[:-1]):
-        t = reduce(b * t.p + t.q, t.p)  # b + 1/t
-    return t
 
 
 def rational_tangle_diagram(fr: TangleFraction) -> TangleDiagram:

@@ -211,12 +211,6 @@ class TangleDiagram(Record):
                 return comp
         raise TangleError(f"no component labelled {label!r}")
 
-    def crossings_between(self, label_a: str, label_b: str) -> int:
-        """Number of crossings where the two (distinct) components meet."""
-        ia = self.components.index(self.component_by_label(label_a))
-        ib = self.components.index(self.component_by_label(label_b))
-        return sum({under, over} == {ia, ib} for under, over in self.crossing_strands)
-
     # -- faces and planarity -----------------------------------------------
 
     @cached_property

@@ -6,15 +6,11 @@ class TangleError(Exception):
 
 
 class PDSyntaxError(TangleError):
-    """Malformed PD text; carries line/column of the offending token."""
+    """Malformed PD text; carries the line of the offending token."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {column})" if column is not None else ")")
-        super().__init__(message + loc)
+    def __init__(self, message, line):
+        super().__init__(f"{message} (line {line})")
         self.line = line
-        self.column = column
 
 
 class NonPlanarCode(TangleError):
@@ -39,7 +35,3 @@ class UsageError(TangleError):
 
 class BudgetExceeded(TangleError):
     """Crossing count exceeds the configured state-sum or enumeration budget."""
-
-
-class InconsistentFacts(TangleError):
-    """Fact closure derived both Planar and NotPlanar."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._record import Record
-from .errors import InconsistentFacts, UsageError
+from .errors import UsageError
 
 EDGES = ("e1", "e2", "e3", "b12", "b23", "b31")
 VERTEX_STARS = {
@@ -190,23 +190,11 @@ def _fire_downward(fb: FactBase):
 RULES = (_fire_thompson, _fire_g_bij, _fire_opposite, _fire_downward)
 
 
-def rule_thompson(fb: FactBase) -> FactBase:
-    return fb.with_facts(d.derived for d in _fire_thompson(fb))
-
-
-def rule_g_bij(fb: FactBase) -> FactBase:
-    return fb.with_facts(d.derived for d in _fire_g_bij(fb))
-
-
-def rule_opposite(fb: FactBase) -> FactBase:
-    return fb.with_facts(d.derived for d in _fire_opposite(fb))
-
-
-def deduce(fb: FactBase, strict: bool = False) -> tuple[FactBase, ProofTrace]:
+def deduce(fb: FactBase) -> tuple[FactBase, ProofTrace]:
     """Least fixed point under all rules, with a justifying trace.
 
-    With strict=True an inconsistent closure raises InconsistentFacts;
-    otherwise the conflicting base is returned for inspection.
+    An inconsistent closure is returned for inspection; `consistent`
+    tells it apart.
     """
     trace = ProofTrace()
     current = fb
@@ -220,55 +208,4 @@ def deduce(fb: FactBase, strict: bool = False) -> tuple[FactBase, ProofTrace]:
                 current = current.with_facts([der.derived])
                 trace.steps.append(der)
                 changed = True
-    if strict and not current.consistent:
-        raise InconsistentFacts("closure contains both Planar and NotPlanar")
     return current, trace
-
-
-# -- canned scenarios ----------------------------------------------------------
-
-
-def rational_solution_scenario() -> FactBase:
-    """A rational tangle carried by a solution graph: every spoke deletion
-    is planar and the exterior compresses before and after rim deletions."""
-    atoms = [planar_minus(e) for e in ("e1", "e2", "e3")]
-    atoms += [compressible_minus(b) for b in ("b12", "b23", "b31")]
-    atoms.append(COMPRESSIBLE)
-    return FactBase.from_atoms(atoms)
-
-
-def opposite_corollary_scenario() -> FactBase:
-    """Three planar deletions around one hub plus two compressible
-    deletions and a compressible exterior."""
-    atoms = [planar_minus(e) for e in ("e1", "b12", "b31")]
-    atoms += [compressible_minus("e2"), compressible_minus("e3"), COMPRESSIBLE]
-    return FactBase.from_atoms(atoms)
-
-
-def counterexample_three_trans() -> FactBase:
-    """Nonplanar graph with one spoke and all rim deletions planar."""
-    atoms = [planar_minus(e) for e in ("e1", "b12", "b31", "b23")]
-    atoms += [COMPRESSIBLE, NOT_PLANAR]
-    return FactBase.from_atoms(atoms)
-
-
-def counterexample_no_common_vertex() -> FactBase:
-    """Nonplanar graph, four planar deletions, no three at a vertex."""
-    atoms = [planar_minus(e) for e in ("e1", "e3", "b23", "b12")]
-    atoms += [NOT_PLANAR]
-    return FactBase.from_atoms(atoms)
-
-
-def counterexample_incompressible() -> FactBase:
-    """Every deletion planar but the exterior boundary never compresses."""
-    atoms = [planar_minus(e) for e in EDGES]
-    atoms += [compressible_minus(e) for e in EDGES]
-    atoms += [NOT_PLANAR]
-    return FactBase.from_atoms(atoms)
-
-
-COUNTEREXAMPLES = {
-    "three_in_trans_one_in_cis": counterexample_three_trans,
-    "no_common_vertex": counterexample_no_common_vertex,
-    "incompressible_exterior": counterexample_incompressible,
-}

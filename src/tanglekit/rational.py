@@ -80,16 +80,6 @@ def add_vertical(t: TangleFraction, v: int) -> TangleFraction:
     return reduce(t.p, t.q + v * t.p)
 
 
-def invert(t: TangleFraction) -> TangleFraction:
-    """Rotate the tangle; p/q -> q/p."""
-    return reduce(t.q, t.p)
-
-
-def mirror(t: TangleFraction) -> TangleFraction:
-    """Flip every crossing; p/q -> -p/q."""
-    return reduce(-t.p, t.q)
-
-
 def _schubert_class(beta: int, p: int) -> tuple[int, ...]:
     """Unoriented Schubert class {beta, beta^-1} mod p, for gcd(beta, p) = 1."""
     b = beta % p

@@ -21,6 +21,12 @@ before it counted settled subtrees; and `has_parallel_strands` runs
 `classify` is the census's classification as first written: it runs the
 weak-string test before reduction as well as after it, and that
 parallel test.
+
+`invert`, `evaluate_continued_fraction` and `crossings_between` came
+from `rational`, `diagram.build` and `TangleDiagram`, verbatim, once
+only tests called them: the fraction of a rotated tangle, the fraction
+that continued-fraction terms name, and the crossings where two
+components meet.
 """
 
 from math import gcd
@@ -35,6 +41,7 @@ from tanglekit.rational import (
     TwoBridgeLink,
     closure_with_filler,
     numerator_closure,
+    reduce,
     torus_two_bridge,
 )
 
@@ -91,6 +98,18 @@ def deletion_uniqueness_certificate(L: int, bound: int = 50) -> UniquenessCertif
                 continue
             found.append(t)
     return UniquenessCertificate(L, bound, checked, tuple(found))
+
+
+def invert(t: TangleFraction) -> TangleFraction:
+    """Rotate the tangle; p/q -> q/p."""
+    return reduce(t.q, t.p)
+
+
+def evaluate_continued_fraction(terms: list[int]) -> TangleFraction:
+    t = reduce(terms[-1], 1)
+    for b in reversed(terms[:-1]):
+        t = reduce(b * t.p + t.q, t.p)  # b + 1/t
+    return t
 
 
 # -- strands -------------------------------------------------------------------
@@ -226,6 +245,13 @@ def strand_facts(self) -> tuple:
         crossing_strands(self),
         [faces[d] for d in range(len(faces))],
     )
+
+
+def crossings_between(self, label_a: str, label_b: str) -> int:
+    """Number of crossings where the two (distinct) components meet."""
+    ia = self.components.index(self.component_by_label(label_a))
+    ib = self.components.index(self.component_by_label(label_b))
+    return sum({under, over} == {ia, ib} for under, over in self.crossing_strands)
 
 
 # -- census ------------------------------------------------------------------

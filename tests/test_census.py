@@ -93,7 +93,7 @@ def _list_random_diagram(rng, n, k=6, walk_tries=400):
     pick one: the oracle for drawing the variant's bits directly."""
 
     def finish(alpha):
-        variants = list(_over_under_variants(alpha, n, k))
+        variants = list(_over_under_variants(alpha, n))
         variant = variants[rng.randrange(len(variants))]
         strings = _strings_of(variant, n, k)
         if strings:
@@ -360,7 +360,7 @@ class TestShadowVerdict:
         shadow = random_diagram(random.Random(seed), n)
         verdicts = {
             _has_weak_string(TangleDiagram(n, 6, alpha, shadow.strings))
-            for alpha in _over_under_variants(shadow.alpha, n, 6)
+            for alpha in _over_under_variants(shadow.alpha, n)
         }
         assert len(verdicts) == 1
 
@@ -464,7 +464,7 @@ class TestTheorem:
         with pytest.raises(BudgetExceeded) as up_front:
             verify_theorem_4_4(n_max, extended)
         with pytest.raises(BudgetExceeded) as at_level:
-            next(census._level_alphas(n_max, extended))
+            next(census.generate_diagrams(n_max, extended))
         assert str(up_front.value) == str(at_level.value)
 
     def test_report_merge_guard(self):

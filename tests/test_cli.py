@@ -321,6 +321,18 @@ CI_GOLDENS = (
         ["deduce", "--facts", FIX + "facts_rational_solution.json", "--trace", "{file}"],
         None, None, "deduce_rational_solution_trace.txt", "", 0,
     ),
+    (
+        ["deduce", "--facts", FIX + "facts_three_trans.json"],
+        None, None, "deduce_three_trans.json", "", 0,
+    ),
+    (
+        ["deduce", "--facts", FIX + "facts_no_common_vertex.json"],
+        None, None, "deduce_no_common_vertex.json", "", 0,
+    ),
+    (
+        ["deduce", "--facts", FIX + "facts_inconsistent.json"],
+        None, None, "deduce_inconsistent.json", "", 1,
+    ),
     (["pjh"], None, None, "pjh.pd", "", 0),
     (["verify", "--in-trans"], ["pjh"], None, "pjh_verify_in_trans.json", "", 0),
     (["verify", "--pd", FIX + "candidate_8x.pd"], None, None, "candidate_8x_verify.json", "", 0),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from draws import random_diagram
-from oracles import _shadow_split
+from oracles import _shadow_split, evaluate_continued_fraction
 from poly_helpers import LOOP_FACTOR, LaurentPoly, monomial, one, power, zero
 from tanglekit.census import _has_weak_string, _strings_of
 from tanglekit.diagram import (
@@ -43,7 +43,7 @@ from tanglekit.diagram import (
     zero_tangle,
 )
 from tanglekit.diagram import identify, invariants
-from tanglekit.diagram.build import continued_fraction, evaluate_continued_fraction
+from tanglekit.diagram.build import continued_fraction
 from tanglekit.diagram.core import compact, connect, pairing, strand_walk
 from tanglekit.diagram.identify import LinkId, determinant
 from tanglekit.diagram.invariants import _histogram_poly, bracket_pair, closure_determinants

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deletion_uniqueness_certificate
+from oracles import deletion_uniqueness_certificate, invert
 from tanglekit.errors import NoSolution, ParityViolation, UnsupportedCase
 from tanglekit.experiments import _solve_capped
 from tanglekit.rational import (
@@ -13,7 +13,6 @@ from tanglekit.rational import (
     add_vertical,
     canonical_two_bridge,
     closure_with_filler,
-    invert,
     numerator_closure,
     reduce,
     solve_in_trans,
